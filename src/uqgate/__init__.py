@@ -44,7 +44,7 @@ from .margin import (
     top2,
 )
 from .measures import epce, epjs, epkl, standard_decomposition
-from .stats import ClassStats, ensemble_mean, ensemble_std, entropy, softmax, softmax_tensor
+from .stats import ClassStats, Ensemble, entropy, softmax, softmax_tensor
 from .synth import SynthConfig, generate, generate_collapse_series
 
 __version__ = "0.1.0"
@@ -55,6 +55,7 @@ __all__ = [
     "CoverageRiskCurve",
     "Decomposition",
     "DiversitySeries",
+    "Ensemble",
     "EptError",
     "EptFormatError",
     "EptManifest",
@@ -75,8 +76,6 @@ __all__ = [
     "decide_multilabel",
     "diversity",
     "ece",
-    "ensemble_mean",
-    "ensemble_std",
     "entropy",
     "epce",
     "epjs",

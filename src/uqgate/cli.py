@@ -19,6 +19,7 @@ Reports go to stdout or --output; diagnostics go to stderr; exit status is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -34,7 +35,7 @@ from .ept import (
     write_ept_file,
     write_labels,
 )
-from .stats import ClassStats, softmax_tensor
+from .stats import ClassStats, Ensemble, member_probs, softmax_tensor
 
 DEFAULT_K = 1.0
 DEFAULT_EPS = 1e-8
@@ -98,80 +99,69 @@ def _require_multiclass(tensor: PredictionTensor, command: str) -> None:
 # report
 
 
-def _report_rows(tensor, labels, k_values, eps):
-    stats = ClassStats.from_tensor(tensor)
-    std = measures.standard_decomposition(tensor)
-    gated = {
-        k: gating.gated_decomposition(tensor, gating.GateConfig(k=k, epsilon=eps))
-        for k in k_values
-    }
-    gmu, _ = margin.gmu_multiclass(stats, eps=eps)
-    decisions = margin.decide_multiclass(stats, k=k_values[0], eps=eps)
-    ce, kl, js = measures.epce(tensor), measures.epkl(tensor), measures.epjs(tensor)
+def _report_rows(tensor, labels, configs):
+    ens = Ensemble(member_probs(tensor))
+    std = measures.decompose(ens)
+    eps = configs[0].epsilon
+    gmu, _ = margin.gmu_multiclass(ens.stats, eps=eps)
+    decisions = margin.decide_multiclass(ens.stats, k=configs[0].k, eps=eps)
 
-    columns = [("sample", np.arange(stats.samples))]
+    columns = [("sample", np.arange(ens.stats.samples))]
     columns += [("tu", std.tu), ("au", std.au), ("eu", std.eu)]
-    for k in k_values:
-        suffix = f"k{k:g}"
-        dec = gated[k]
+    for cfg in configs:
+        suffix = f"k{cfg.k:g}"
+        dec = gating.decompose_gated(ens, cfg)
         columns += [(f"tu_{suffix}", dec.tu), (f"au_{suffix}", dec.au), (f"eu_{suffix}", dec.eu)]
     columns += [
         ("gmu", gmu),
         ("snr", decisions.snr),
         ("decision", decisions.decision),
-        ("epce", ce),
-        ("epkl", kl),
-        ("epjs", js),
+        ("epce", measures.pairwise_ce(ens)),
+        ("epkl", measures.pairwise_kl(ens)),
+        ("epjs", measures.pairwise_js(ens)),
     ]
     if labels is not None:
         columns.append(("correct", (decisions.top1 == labels).astype(np.int64)))
     return columns
 
 
+def _records(columns):
+    """Yield each row's cells, converted once: int, float or "uncertain"."""
+    for row in range(len(columns[0][1])):
+        record = []
+        for name, values in columns:
+            v = values[row]
+            if name == "decision" and v == margin.UNCERTAIN:
+                record.append("uncertain")
+            elif name in ("sample", "decision", "correct", "epoch", "collapse"):
+                record.append(int(v))
+            else:
+                record.append(float(v))
+        yield record
+
+
 def _emit_table(columns, fmt, out):
+    """Write the columns as CSV, one row at a time, or as a JSON list of records."""
     names = [name for name, _ in columns]
-    n = len(columns[0][1])
     if fmt == "csv":
         out.write(",".join(names) + "\n")
-        for row in range(n):
-            cells = []
-            for name, values in columns:
-                v = values[row]
-                if name == "decision":
-                    cells.append("uncertain" if v == margin.UNCERTAIN else str(int(v)))
-                elif name in ("sample", "correct", "epoch", "collapse"):
-                    cells.append(str(int(v)))
-                else:
-                    cells.append(_fmt(float(v)))
-            out.write(",".join(cells) + "\n")
+        for record in _records(columns):
+            out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in record) + "\n")
     else:
-        records = []
-        for row in range(n):
-            record = {}
-            for name, values in columns:
-                v = values[row]
-                if name == "decision":
-                    record[name] = "uncertain" if v == margin.UNCERTAIN else int(v)
-                elif name in ("sample", "correct", "epoch", "collapse"):
-                    record[name] = int(v)
-                else:
-                    record[name] = float(v)
-            records.append(record)
-        json.dump(records, out, indent=2)
+        json.dump([dict(zip(names, record)) for record in _records(columns)], out, indent=2)
         out.write("\n")
 
 
 def cmd_report(args) -> int:
+    # GateConfig applies the k rule and gating.check_epsilon before any input is read.
+    k_values = list(dict.fromkeys(_parse_float_list(args.k)))
+    configs = [gating.GateConfig(k=k, epsilon=args.epsilon) for k in k_values]
     tensor = _load_probs(args.input)
     _require_multiclass(tensor, "report")
-    k_values = list(dict.fromkeys(_parse_float_list(args.k)))
-    for k in k_values:
-        if not k > 0:
-            raise ValueError(f"k values must be positive, got {k}")
     labels = None
     if args.labels:
         labels = read_labels_file(args.labels, tensor.manifest)
-    columns = _report_rows(tensor, labels, k_values, args.epsilon)
+    columns = _report_rows(tensor, labels, configs)
     with _open_output(args.output) as out:
         _emit_table(columns, args.format, out)
     return 0
@@ -186,10 +176,9 @@ def cmd_diversity(args) -> int:
     series = diagnostics.collapse_epoch(snapshots, tau=args.tau)
     with _open_output(args.output) as out:
         if args.format == "csv":
-            out.write("epoch,diversity,collapse\n")
-            for epoch, value in zip(series.epochs, series.values):
-                flag = int(series.collapse_epoch is not None and epoch == series.collapse_epoch)
-                out.write(f"{int(epoch)},{_fmt(float(value))},{flag}\n")
+            collapse = series.epochs == series.collapse_epoch  # all False when None
+            _emit_table([("epoch", series.epochs), ("diversity", series.values),
+                         ("collapse", collapse)], "csv", out)
         else:
             json.dump(
                 {
@@ -210,6 +199,7 @@ def cmd_diversity(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    gating.check_epsilon(args.epsilon)
     tensor = _load_probs(args.input)
     _require_multiclass(tensor, "coverage")
     labels = read_labels_file(args.labels, tensor.manifest)
@@ -260,32 +250,38 @@ def cmd_calibrate(args) -> int:
 # ood
 
 
-def _ood_scores(tensor: PredictionTensor, measure: str, k: float, eps: float) -> np.ndarray:
-    if measure in ("tu", "au", "eu"):
-        dec = measures.standard_decomposition(tensor)
-        return getattr(dec, measure)
-    if measure in ("epce", "epkl", "epjs"):
-        return getattr(measures, measure)(tensor)
-    if measure == "gmu":
-        gmu, _ = margin.gmu_multiclass(ClassStats.from_tensor(tensor), eps=eps)
-        return gmu
-    if measure in ("gated_tu", "gated_au", "gated_eu"):
-        dec = gating.gated_decomposition(tensor, gating.GateConfig(k=k, epsilon=eps))
-        return getattr(dec, measure.removeprefix("gated_"))
-    raise ValueError(f"unknown measure {measure!r}; choose from {OOD_MEASURES} or 'all'")
+def _ood_scores(tensor: PredictionTensor, names, k: float, eps: float) -> list[np.ndarray]:
+    """The named scores of one file, all read from one view of it."""
+    ens = Ensemble(member_probs(tensor))
+    gated = functools.cache(
+        lambda: gating.decompose_gated(ens, gating.GateConfig(k=k, epsilon=eps)))
+    score = {
+        "tu": lambda: measures.decompose(ens).tu,
+        "au": lambda: measures.decompose(ens).au,
+        "eu": lambda: measures.decompose(ens).eu,
+        "epce": lambda: measures.pairwise_ce(ens),
+        "epkl": lambda: measures.pairwise_kl(ens),
+        "epjs": lambda: measures.pairwise_js(ens),
+        "gmu": lambda: margin.gmu_multiclass(ens.stats, eps=eps)[0],
+        "gated_tu": lambda: gated().tu,
+        "gated_au": lambda: gated().au,
+        "gated_eu": lambda: gated().eu,
+    }
+    return [score[name]() for name in names]
 
 
 def cmd_ood(args) -> int:
+    gating.check_epsilon(args.epsilon)
+    if args.measure not in (*OOD_MEASURES, "all"):
+        raise ValueError(f"unknown measure {args.measure!r}; choose from {OOD_MEASURES} or 'all'")
+    names = OOD_MEASURES if args.measure == "all" else (args.measure,)
     id_tensor = _load_probs(args.id)
     ood_tensor = _load_probs(args.ood)
     _require_multiclass(id_tensor, "ood")
     _require_multiclass(ood_tensor, "ood")
-    names = OOD_MEASURES if args.measure == "all" else (args.measure,)
-    scores = {}
-    for name in names:
-        neg = _ood_scores(id_tensor, name, args.k, args.epsilon)
-        pos = _ood_scores(ood_tensor, name, args.k, args.epsilon)
-        scores[name] = diagnostics.auroc(neg, pos)
+    neg = _ood_scores(id_tensor, names, args.k, args.epsilon)
+    pos = _ood_scores(ood_tensor, names, args.k, args.epsilon)
+    scores = {name: diagnostics.auroc(n, p) for name, n, p in zip(names, neg, pos)}
     with _open_output(args.output) as out:
         json.dump({"k": args.k, "auroc": scores}, out, indent=2)
         out.write("\n")

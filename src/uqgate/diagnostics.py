@@ -17,7 +17,7 @@ from scipy.stats import rankdata
 
 from .ept import EptValidationError, PredictionTensor
 from .margin import DEFAULT_EPS, UNCERTAIN, decide_multiclass
-from .stats import ClassStats, ensemble_std
+from .stats import ClassStats
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class CoverageRiskCurve:
 
 def diversity(tensor: PredictionTensor) -> float:
     """Mean ensemble standard deviation over all samples and classes."""
-    return float(ensemble_std(tensor).mean())
+    return float(ClassStats.from_tensor(tensor).sigma.mean())
 
 
 def collapse_epoch(

@@ -8,8 +8,9 @@ logits) together with a JSON manifest describing its shape and semantics:
     header       UTF-8 JSON manifest, exactly that many bytes
     payload      IEEE-754 little-endian values, row-major [member][sample][class]
 
-Labels travel separately as UTF-8 CSV with LF line endings: one integer per
-line for multiclass, C comma-separated 0/1 values per line for multilabel.
+Labels travel separately as UTF-8 CSV with LF line endings: one class index
+of ASCII digits per line for multiclass, C comma-separated 0/1 values per
+line for multilabel; nothing else (no signs, spaces or CR) is accepted.
 
 Loading is strict: malformed input raises a typed error, never returns a
 partial tensor. Write/read round-trips are bit-exact on the payload.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import BinaryIO, TextIO
 
 import numpy as np
@@ -35,6 +36,9 @@ PRECISIONS = {"binary32": "<f4", "binary64": "<f8"}
 # legitimate files.
 ROW_SUM_TOL = 1e-5
 PROB_RANGE_SLACK = 1e-6
+
+# Largest single read: declared sizes are checked against the stream, not trusted.
+READ_CHUNK = 1 << 24
 
 
 class EptError(ValueError):
@@ -163,9 +167,6 @@ class PredictionTensor:
             )
         _check_values(self.data, self.manifest)
 
-    def with_epoch(self, epoch: int) -> "PredictionTensor":
-        return PredictionTensor(replace(self.manifest, epoch=epoch), self.data)
-
 
 def _check_values(data: np.ndarray, manifest: EptManifest) -> None:
     if not np.isfinite(data).all():
@@ -245,7 +246,7 @@ def read_ept(source: BinaryIO) -> PredictionTensor:
     if len(raw_len) < 4:
         raise EptFormatError("stream truncated in header length field")
     (header_len,) = struct.unpack("<I", raw_len)
-    header = source.read(header_len)
+    header = _read_up_to(source, header_len)
     if len(header) < header_len:
         raise EptFormatError(
             f"header length {header_len} exceeds remaining stream ({len(header)} bytes)"
@@ -257,7 +258,7 @@ def read_ept(source: BinaryIO) -> PredictionTensor:
     manifest = EptManifest.from_json(text)
 
     expected = manifest.payload_bytes
-    payload = source.read(expected)
+    payload = _read_up_to(source, expected)
     if len(payload) < expected:
         raise EptFormatError(
             f"truncated payload: expected {expected} bytes, got {len(payload)}"
@@ -271,6 +272,18 @@ def read_ept(source: BinaryIO) -> PredictionTensor:
     )
     _check_values(data, manifest)
     return PredictionTensor(manifest, data)
+
+
+def _read_up_to(source: BinaryIO, size: int) -> bytearray:
+    """Read ``size`` bytes, or fewer at the end of the stream.
+
+    Reads in bounded chunks and never allocates ``size`` up front, so a
+    hostile header cannot overflow or oversize the read.
+    """
+    buf = bytearray()
+    while len(buf) < size and (chunk := source.read(min(size - len(buf), READ_CHUNK))):
+        buf += chunk
+    return buf
 
 
 def read_ept_file(path) -> PredictionTensor:
@@ -299,10 +312,9 @@ def read_labels(source: TextIO, manifest: EptManifest) -> np.ndarray:
     if manifest.task == "multiclass":
         labels = np.empty(manifest.samples, dtype=np.int64)
         for row, line in enumerate(lines):
-            try:
-                value = int(line.strip())
-            except ValueError as exc:
-                raise EptValidationError(f"line {row + 1}: {line!r} is not an integer") from exc
+            if not (line.isascii() and line.isdigit()):
+                raise EptValidationError(f"line {row + 1}: {line!r} is not an ASCII integer")
+            value = int(line)
             if not 0 <= value < manifest.classes:
                 raise EptValidationError(
                     f"line {row + 1}: class index {value} out of range [0, {manifest.classes})"
@@ -312,7 +324,7 @@ def read_labels(source: TextIO, manifest: EptManifest) -> np.ndarray:
 
     labels = np.empty((manifest.samples, manifest.classes), dtype=np.int64)
     for row, line in enumerate(lines):
-        fields = line.strip().split(",")
+        fields = line.split(",")
         if len(fields) != manifest.classes:
             raise EptValidationError(
                 f"line {row + 1}: expected {manifest.classes} values, got {len(fields)}"

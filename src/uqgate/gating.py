@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ept import EptValidationError, PredictionTensor
-from .stats import entropy, member_probs
+from .stats import Ensemble, entropy, member_probs
 
 # A member row whose entire gated mass falls below this is degenerate and
 # falls back to the ungated row (reachable only with astronomical k).
@@ -38,8 +38,13 @@ class GateConfig:
     def __post_init__(self):
         if not self.k > 0:
             raise ValueError(f"k must be positive, got {self.k}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        check_epsilon(self.epsilon)
+
+
+def check_epsilon(epsilon: float) -> None:
+    """The one epsilon rule, shared by GateConfig and every CLI command: eps > 0 (not NaN)."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
 class Decomposition(NamedTuple):
@@ -71,12 +76,10 @@ def gate(mu: np.ndarray, sigma: np.ndarray, cfg: GateConfig) -> np.ndarray:
     return 1.0 - np.exp(-mu / (cfg.k * sigma + cfg.epsilon))
 
 
-def gated_members(tensor: PredictionTensor, cfg: GateConfig) -> GatedEnsemble:
-    """Gate and renormalize every member row of a multiclass probs tensor."""
-    if tensor.manifest.task != "multiclass":
-        raise EptValidationError("variance gating is defined for multiclass tensors only")
-    probs = member_probs(tensor)
-    gates = gate(probs.mean(axis=0), probs.std(axis=0), cfg)
+def gate_ensemble(ens: Ensemble, cfg: GateConfig) -> GatedEnsemble:
+    """Gate and renormalize every member row of one tensor's view."""
+    probs = ens.probs
+    gates = gate(ens.stats.mu, ens.stats.sigma, cfg)
 
     weighted = probs * gates[None, :, :]
     mass = weighted.sum(axis=2, keepdims=True)
@@ -85,7 +88,8 @@ def gated_members(tensor: PredictionTensor, cfg: GateConfig) -> GatedEnsemble:
         # Restore the raw rows rather than emitting NaN or uniform noise.
         weighted = np.where(degenerate[:, :, None], probs, weighted)
         mass = weighted.sum(axis=2, keepdims=True)
-    members = weighted / mass
+    # In place: the view keeps probs alive, so save the extra (M, N, C) copy.
+    members = np.divide(weighted, mass, out=weighted)
     return GatedEnsemble(
         gates=gates,
         members=members,
@@ -94,13 +98,29 @@ def gated_members(tensor: PredictionTensor, cfg: GateConfig) -> GatedEnsemble:
     )
 
 
-def gated_decomposition(tensor: PredictionTensor, cfg: GateConfig) -> Decomposition:
+def decompose_gated(ens: Ensemble, cfg: GateConfig) -> Decomposition:
     """Gated TU/AU/EU per sample.
 
     TU is the entropy of the gated predictive mean, AU the mean entropy of
     the gated member rows, EU their difference (>= 0 up to rounding).
     """
-    gated = gated_members(tensor, cfg)
+    gated = gate_ensemble(ens, cfg)
     tu = entropy(gated.predictive)
     au = entropy(gated.members).mean(axis=0)
     return Decomposition(tu=tu, au=au, eu=tu - au)
+
+
+def gated_members(tensor: PredictionTensor, cfg: GateConfig) -> GatedEnsemble:
+    """Gate and renormalize every member row of a multiclass probs tensor."""
+    return gate_ensemble(_multiclass_view(tensor), cfg)
+
+
+def gated_decomposition(tensor: PredictionTensor, cfg: GateConfig) -> Decomposition:
+    """Gated TU/AU/EU per sample of a multiclass probs tensor (see :func:`decompose_gated`)."""
+    return decompose_gated(_multiclass_view(tensor), cfg)
+
+
+def _multiclass_view(tensor: PredictionTensor) -> Ensemble:
+    if tensor.manifest.task != "multiclass":
+        raise EptValidationError("variance gating is defined for multiclass tensors only")
+    return Ensemble(member_probs(tensor))

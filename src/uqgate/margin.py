@@ -67,18 +67,23 @@ def _snr(margin: np.ndarray, spread: np.ndarray, eps: float) -> np.ndarray:
     return np.where(np.isnan(snr), 0.0, snr)
 
 
+def _top2_snr(stats: ClassStats, eps: float):
+    """Row indices, top-2 class indices and the top-2 margin SNR per sample."""
+    rows = np.arange(stats.samples)
+    i, j = stats.top2
+    margin = stats.mu[rows, i] - stats.mu[rows, j]
+    return rows, i, j, _snr(margin, stats.sigma[rows, i] + stats.sigma[rows, j], eps)
+
+
 def decide_multiclass(
     stats: ClassStats, k: float, eps: float = DEFAULT_EPS
 ) -> MulticlassDecisions:
     """Apply the margin rule: predict top-1 iff mu(i) - k sigma(i) > mu(j) + k sigma(j)."""
     if not k > 0:
         raise ValueError(f"k must be positive, got {k}")
-    rows = np.arange(stats.samples)
-    i, j = top2(stats.mu)
-    mu_i, mu_j = stats.mu[rows, i], stats.mu[rows, j]
-    sig_i, sig_j = stats.sigma[rows, i], stats.sigma[rows, j]
-    snr = _snr(mu_i - mu_j, sig_i + sig_j, eps)
-    fires = (mu_i - k * sig_i) > (mu_j + k * sig_j)
+    rows, i, j, snr = _top2_snr(stats, eps)
+    mu, sigma = stats.mu, stats.sigma
+    fires = (mu[rows, i] - k * sigma[rows, i]) > (mu[rows, j] + k * sigma[rows, j])
     decision = np.where(fires, i, UNCERTAIN)
     return MulticlassDecisions(top1=i, top2=j, snr=snr, decision=decision)
 
@@ -88,15 +93,13 @@ def gmu_multiclass(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Variance-gated margin uncertainty per sample.
 
-    Returns (gmu, gamma) where gamma is the top-2 margin gate and
-    gmu = 1 - mu(i) * gamma, in [1 - mu(i), 1].
+    Returns (gmu, gamma) where gamma = 1 - exp(-SNR) is the top-2 margin
+    gate and gmu = 1 - mu(i) * gamma, in [1 - mu(i), 1]. A tie with zero
+    spread at eps = 0 has SNR 0, a closed gate and GMU = 1.
     """
-    rows = np.arange(stats.samples)
-    i, j = top2(stats.mu)
-    mu_i, mu_j = stats.mu[rows, i], stats.mu[rows, j]
-    sig_i, sig_j = stats.sigma[rows, i], stats.sigma[rows, j]
-    gamma = 1.0 - np.exp(-(mu_i - mu_j) / (sig_i + sig_j + eps))
-    return 1.0 - mu_i * gamma, gamma
+    rows, i, _, snr = _top2_snr(stats, eps)
+    gamma = 1.0 - np.exp(-snr)
+    return 1.0 - stats.mu[rows, i] * gamma, gamma
 
 
 def decide_multilabel(
@@ -136,5 +139,5 @@ def gmu_multilabel(
     u = np.asarray(mu_label, dtype=np.float64)
     sigma = np.asarray(sigma_label, dtype=np.float64)
     mu_i = np.maximum(u, 1.0 - u)
-    gamma = 1.0 - np.exp(-(2.0 * mu_i - 1.0) / (2.0 * sigma + eps))
+    gamma = 1.0 - np.exp(-_snr(2.0 * mu_i - 1.0, 2.0 * sigma, eps))
     return 1.0 - mu_i * gamma

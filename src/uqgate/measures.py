@@ -5,6 +5,9 @@ pairs including self-pairs; self terms vanish for KL and JS and reduce to
 member entropies for cross-entropy, which yields the exact identity
 EPKL = EPCE - AU. Logs share the 1e-12 clamp from stats, so divergences of
 disjoint one-hot rows stay large but finite (about 27.6 nats).
+
+Each measure is computed from a tensor's shared :class:`~uqgate.stats.Ensemble`
+view; the functions taking a tensor build that view and delegate.
 """
 
 from __future__ import annotations
@@ -13,49 +16,61 @@ import numpy as np
 
 from .ept import PredictionTensor
 from .gating import Decomposition
-from .stats import LOG_CLAMP, entropy, member_probs
+from .stats import Ensemble, entropy, member_probs
 
 
-def standard_decomposition(tensor: PredictionTensor) -> Decomposition:
+def decompose(ens: Ensemble) -> Decomposition:
     """Ungated per-sample TU/AU/EU: entropy of the mean, mean entropy, difference."""
-    probs = member_probs(tensor)
-    tu = entropy(probs.mean(axis=0))
-    au = entropy(probs).mean(axis=0)
+    tu = entropy(ens.stats.mu)
+    au = ens.member_entropy.mean(axis=0)
     return Decomposition(tu=tu, au=au, eu=tu - au)
 
 
-def epce(tensor: PredictionTensor) -> np.ndarray:
+def pairwise_ce(ens: Ensemble) -> np.ndarray:
     """Expected pairwise cross-entropy per sample, in nats.
 
     CE is bilinear in (p_m, log p_m'), so the ordered-pair average
     factorizes into mean probabilities against mean log-probabilities.
     """
-    probs = member_probs(tensor)
-    logp = np.log(np.clip(probs, LOG_CLAMP, None))
-    return -(probs.mean(axis=0) * logp.mean(axis=0)).sum(axis=-1)
+    return -(ens.stats.mu * ens.mean_log_probs).sum(axis=-1)
 
 
-def epkl(tensor: PredictionTensor) -> np.ndarray:
-    """Expected pairwise KL divergence per sample, in nats."""
-    probs = member_probs(tensor)
-    logp = np.log(np.clip(probs, LOG_CLAMP, None))
-    cross = -(probs.mean(axis=0) * logp.mean(axis=0)).sum(axis=-1)
-    self_term = (probs * logp).sum(axis=-1).mean(axis=0)
-    return cross + self_term
+def pairwise_kl(ens: Ensemble) -> np.ndarray:
+    """Expected pairwise KL divergence per sample, in nats: EPCE - AU."""
+    return pairwise_ce(ens) - ens.member_entropy.mean(axis=0)
 
 
-def epjs(tensor: PredictionTensor) -> np.ndarray:
+def pairwise_js(ens: Ensemble) -> np.ndarray:
     """Expected pairwise Jensen-Shannon divergence per sample, in nats.
 
     JS(p, q) = H((p + q) / 2) - (H(p) + H(q)) / 2; bounded by ln 2.
     Mixture entropies do not factorize, so one member is blocked at a time
     to keep memory at O(MNC) instead of O(M^2 NC).
     """
-    probs = member_probs(tensor)
+    probs = ens.probs
     m, n, _ = probs.shape
-    member_h = entropy(probs)  # (M, N)
     mix_h_total = np.zeros(n)
     for i in range(m):
         mix_h_total += entropy((probs[i][None, :, :] + probs) / 2.0).sum(axis=0)
     mean_mix_h = mix_h_total / (m * m)
-    return mean_mix_h - member_h.mean(axis=0)
+    return mean_mix_h - ens.member_entropy.mean(axis=0)
+
+
+def standard_decomposition(tensor: PredictionTensor) -> Decomposition:
+    """Ungated TU/AU/EU of a probs tensor (see :func:`decompose`)."""
+    return decompose(Ensemble(member_probs(tensor)))
+
+
+def epce(tensor: PredictionTensor) -> np.ndarray:
+    """EPCE per sample of a probs tensor (see :func:`pairwise_ce`)."""
+    return pairwise_ce(Ensemble(member_probs(tensor)))
+
+
+def epkl(tensor: PredictionTensor) -> np.ndarray:
+    """EPKL per sample of a probs tensor (see :func:`pairwise_kl`)."""
+    return pairwise_kl(Ensemble(member_probs(tensor)))
+
+
+def epjs(tensor: PredictionTensor) -> np.ndarray:
+    """EPJS per sample of a probs tensor (see :func:`pairwise_js`)."""
+    return pairwise_js(Ensemble(member_probs(tensor)))

@@ -1,4 +1,4 @@
-"""Ensemble moments, softmax, and entropy primitives shared by all measures.
+"""Ensemble moments, softmax, entropy, and the per-tensor view all measures share.
 
 All moments are accumulated in float64 regardless of the stored precision of
 the input tensor: averaging ~100 binary32 member outputs loses about three
@@ -9,6 +9,7 @@ the decomposition identities exact without conversion factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +39,11 @@ def entropy(dist: np.ndarray, axis: int = -1) -> np.ndarray:
     dist = np.asarray(dist, dtype=np.float64)
     if dist.min() < 0:
         raise ValueError(f"negative probability {dist.min()} passed to entropy")
-    logp = np.log(np.clip(dist, LOG_CLAMP, None))
-    return -(dist * logp).sum(axis=axis)
+    # One temporary, reused in place for the log and the product.
+    terms = np.clip(dist, LOG_CLAMP, None)
+    np.log(terms, out=terms)
+    terms *= dist
+    return -terms.sum(axis=axis)
 
 
 def member_probs(tensor: PredictionTensor) -> np.ndarray:
@@ -67,19 +71,6 @@ def softmax_tensor(tensor: PredictionTensor) -> PredictionTensor:
     )
 
 
-def ensemble_mean(tensor: PredictionTensor) -> np.ndarray:
-    """Per-class ensemble mean, shape (N, C)."""
-    return member_probs(tensor).mean(axis=0)
-
-
-def ensemble_std(tensor: PredictionTensor) -> np.ndarray:
-    """Per-class ensemble standard deviation (population form), shape (N, C).
-
-    M = 1 gives exact zeros.
-    """
-    return member_probs(tensor).std(axis=0)
-
-
 @dataclass(frozen=True)
 class ClassStats:
     """Per-sample, per-class ensemble mean and standard deviation.
@@ -93,8 +84,7 @@ class ClassStats:
 
     @classmethod
     def from_tensor(cls, tensor: PredictionTensor) -> "ClassStats":
-        probs = member_probs(tensor)
-        return cls(mu=probs.mean(axis=0), sigma=probs.std(axis=0))
+        return Ensemble(member_probs(tensor)).stats
 
     @property
     def samples(self) -> int:
@@ -103,3 +93,44 @@ class ClassStats:
     @property
     def classes(self) -> int:
         return self.mu.shape[1]
+
+    @cached_property
+    def top2(self) -> tuple[np.ndarray, np.ndarray]:
+        """Top-1 and top-2 class indices per sample, as :func:`uqgate.margin.top2`."""
+        from .margin import top2  # margin imports this module; top2 stays there
+
+        return top2(self.mu)
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """One tensor's clipped member probabilities and the quantities all measures share.
+
+    Build it once per tensor from :func:`member_probs`. Each derived array is
+    computed on first use and kept; no (M, N, C) intermediate is kept.
+    """
+
+    probs: np.ndarray  # (M, N, C) float64 in [0, 1]
+
+    @cached_property
+    def stats(self) -> ClassStats:
+        return ClassStats(mu=self.probs.mean(axis=0), sigma=self.probs.std(axis=0))
+
+    @cached_property
+    def _log_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        # entropy(self.probs), sharing its clamped logs with their member mean.
+        terms = np.clip(self.probs, LOG_CLAMP, None)
+        np.log(terms, out=terms)
+        mean_log_probs = terms.mean(axis=0)
+        terms *= self.probs
+        return -terms.sum(axis=-1), mean_log_probs
+
+    @property
+    def member_entropy(self) -> np.ndarray:
+        """Entropy of every member row, shape (M, N)."""
+        return self._log_terms[0]
+
+    @property
+    def mean_log_probs(self) -> np.ndarray:
+        """Member mean of the clamped log-probabilities, shape (N, C)."""
+        return self._log_terms[1]

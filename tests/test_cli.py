@@ -1,6 +1,7 @@
 """CLI surface: formats, exit codes, determinism, stream separation."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -300,6 +301,34 @@ class TestSynthCommand:
         )
         assert code == 1
         assert "error:" in err
+
+
+@pytest.mark.parametrize("epsilon", ["-0.5", "0", "nan"])
+@pytest.mark.parametrize("command", ["report", "coverage", "ood"])
+def test_epsilon_must_be_positive(workdir, capsys, command, epsilon):
+    probs, labels = workdir / "probs.ept", workdir / "labels.csv"
+    inputs = {
+        "report": ("--input", probs, "--labels", labels),
+        "coverage": ("--input", probs, "--labels", labels),
+        "ood": ("--id", probs, "--ood", probs, "--measure", "gmu"),
+    }[command]
+    code, out, err = run(capsys, command, *inputs, f"--epsilon={epsilon}")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: epsilon must be positive")
+
+
+def test_oversized_manifest_fails_cleanly(tmp_path, capsys):
+    header = json.dumps({
+        "version": 1, "kind": "probs", "task": "multiclass", "members": 2**40,
+        "samples": 2**40, "classes": 2, "precision": "binary64",
+    }).encode()
+    path = tmp_path / "huge.ept"
+    path.write_bytes(b"EPT1" + struct.pack("<I", len(header)) + header + bytes(16))
+    code, out, err = run(capsys, "report", "--input", path)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: truncated payload")
 
 
 def test_console_entry_point(tmp_path):

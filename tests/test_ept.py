@@ -28,6 +28,19 @@ def roundtrip(tensor):
     return read_ept(buffer)
 
 
+class NonSeekable(io.RawIOBase):
+    """A raw byte stream without tell/seek, like a pipe."""
+
+    def __init__(self, raw):
+        self._inner = io.BytesIO(raw)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._inner.readinto(buffer)
+
+
 def valid_file_bytes(data=None, manifest_overrides=None, payload=None):
     """Hand-built container so tests can corrupt specific pieces."""
     if data is None:
@@ -150,6 +163,16 @@ class TestReadRejects:
         with pytest.raises(EptFormatError, match="trailing"):
             read_ept(io.BytesIO(raw + b"\x00"))
 
+    @pytest.mark.parametrize("seekable", [True, False])
+    def test_oversized_manifest(self, seekable):
+        # 2**40 x 2**40 x 2 doubles: the declared payload dwarfs the stream.
+        raw = valid_file_bytes(manifest_overrides={"members": 2**40, "samples": 2**40})
+        source = io.BytesIO(raw)
+        if not seekable:
+            source = io.BufferedReader(NonSeekable(raw))
+        with pytest.raises(EptFormatError, match="truncated payload"):
+            read_ept(source)
+
     def test_nan_payload(self):
         payload = np.array([[[np.nan, 0.5]]]).tobytes()
         raw = valid_file_bytes(payload=payload)
@@ -225,6 +248,27 @@ class TestLabels:
     def test_not_an_integer(self):
         with pytest.raises(EptValidationError, match="integer"):
             read_labels(io.StringIO("a\n0\n1\n"), self.multiclass_manifest())
+
+    @pytest.mark.parametrize("text, task", [
+        ("1_0\n", "multiclass"),
+        ("+1\n", "multiclass"),
+        ("-0\n", "multiclass"),
+        ("\u0663\n", "multiclass"),  # ARABIC-INDIC DIGIT THREE
+        (" 1\n", "multiclass"),
+        ("1 \n", "multiclass"),
+        ("1\r\n", "multiclass"),
+        ("\n", "multiclass"),
+        ("0,1\r\n", "multilabel"),
+        ("0, 1\n", "multilabel"),
+        (" 0,1\n", "multilabel"),
+        ("0,\u0661\n", "multilabel"),  # ARABIC-INDIC DIGIT ONE
+    ])
+    def test_only_ascii_digits_and_lf(self, text, task):
+        # 20 classes, so every misread multiclass value would be in range.
+        manifest = (self.multiclass_manifest(n=1, c=20) if task == "multiclass"
+                    else self.multilabel_manifest(n=1))
+        with pytest.raises(EptValidationError):
+            read_labels(io.StringIO(text), manifest)
 
     def test_multilabel_parse(self):
         labels = read_labels(io.StringIO("1,0\n0,1\n"), self.multilabel_manifest())

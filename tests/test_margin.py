@@ -118,6 +118,14 @@ class TestGmuMulticlass:
         gmu, _ = gmu_multiclass(stats_from([0.5 + 5e-17, 0.5 - 5e-17], [5e7, 5e7]))
         assert 1.0 - gmu[0] < 1e-6
 
+    def test_tied_zero_spread_at_eps_zero_is_closed_gate(self):
+        # 0/0 margin over spread: SNR 0 in the rule, so a closed gate here too.
+        stats = stats_from([0.5, 0.5], [0.0, 0.0])
+        with np.errstate(all="raise"):
+            gmu, gamma = gmu_multiclass(stats, eps=0.0)
+        assert gamma[0] == 0.0 and gmu[0] == 1.0
+        assert decide_multiclass(stats, k=1.0, eps=0.0).snr[0] == 0.0
+
     def test_bounded_by_one_minus_top1(self, rng):
         n = 5000
         mu = rng.dirichlet(np.ones(5), size=n)
@@ -172,6 +180,12 @@ class TestMultilabel:
         assert 1.0 - gmu_multilabel(1.0, 1e8) < 1e-6
         assert 1.0 - gmu_multilabel(0.5 + 5e-17, 0.0) < 1e-6
         assert 1.0 - gmu_multilabel(0.5 + 5e-17, 1e8) < 1e-6
+
+    def test_gmu_tied_zero_spread_at_eps_zero(self):
+        with np.errstate(all="raise"):
+            assert gmu_multilabel(0.5, 0.0, eps=0.0) == 1.0
+        snr, _ = decide_multilabel(0.5, 0.0, k=1.0, eps=0.0)
+        assert snr == 0.0
 
     def test_gmu_continuous_at_half(self):
         # Both one-sided limits give 1; the folded branch must match.

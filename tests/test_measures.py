@@ -1,8 +1,25 @@
 """Entropy decomposition and pairwise divergences against explicit pair loops."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from uqgate import epce, epjs, epkl, standard_decomposition
+from uqgate import (
+    Ensemble,
+    GateConfig,
+    decide_multiclass,
+    epce,
+    epjs,
+    epkl,
+    gated_decomposition,
+    gmu_multiclass,
+    make_tensor,
+    standard_decomposition,
+)
+from uqgate.gating import decompose_gated
+from uqgate.measures import decompose, pairwise_ce, pairwise_js, pairwise_kl
+from uqgate.stats import member_probs
 
 from conftest import probs_tensor, random_probs
 
@@ -122,3 +139,139 @@ class TestPairwiseMeasures:
         assert np.isfinite(value)
         # KL of one-hot vs opposite one-hot is ln(1/1e-12) / 2 per direction.
         np.testing.assert_allclose(value, np.log(1e12) / 2.0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the tensor-by-tensor formulas each measure used before they were
+# derived from one shared Ensemble view. Every value must match bit for bit.
+
+
+def _ref_entropy(dist):
+    return -(dist * np.log(np.clip(dist, CLAMP, None))).sum(axis=-1)
+
+
+def _ref_probs(tensor):
+    return np.clip(tensor.data.astype(np.float64, copy=False), 0.0, 1.0)
+
+
+def _ref_standard(tensor):
+    probs = _ref_probs(tensor)
+    tu = _ref_entropy(probs.mean(axis=0))
+    au = _ref_entropy(probs).mean(axis=0)
+    return tu, au, tu - au
+
+
+def _ref_epce(tensor):
+    probs = _ref_probs(tensor)
+    logp = np.log(np.clip(probs, CLAMP, None))
+    return -(probs.mean(axis=0) * logp.mean(axis=0)).sum(axis=-1)
+
+
+def _ref_epkl(tensor):
+    probs = _ref_probs(tensor)
+    logp = np.log(np.clip(probs, CLAMP, None))
+    cross = -(probs.mean(axis=0) * logp.mean(axis=0)).sum(axis=-1)
+    return cross + (probs * logp).sum(axis=-1).mean(axis=0)
+
+
+def _ref_epjs(tensor):
+    probs = _ref_probs(tensor)
+    m, n, _ = probs.shape
+    member_h = _ref_entropy(probs)
+    mix_h_total = np.zeros(n)
+    for i in range(m):
+        mix_h_total += _ref_entropy((probs[i][None, :, :] + probs) / 2.0).sum(axis=0)
+    return mix_h_total / (m * m) - member_h.mean(axis=0)
+
+
+def _ref_gated(tensor, k, eps):
+    probs = _ref_probs(tensor)
+    gates = 1.0 - np.exp(-probs.mean(axis=0) / (k * probs.std(axis=0) + eps))
+    weighted = probs * gates[None, :, :]
+    mass = weighted.sum(axis=2, keepdims=True)
+    degenerate = mass[..., 0] <= 1e-300
+    if degenerate.any():
+        weighted = np.where(degenerate[:, :, None], probs, weighted)
+        mass = weighted.sum(axis=2, keepdims=True)
+    members = weighted / mass
+    tu = _ref_entropy(members.mean(axis=0))
+    au = _ref_entropy(members).mean(axis=0)
+    return tu, au, tu - au
+
+
+def _ref_margin(tensor, k, eps):
+    """(gmu, gamma, snr, decision, 0/0 corner mask) from the top-2 class means."""
+    probs = _ref_probs(tensor)
+    mu, sigma = probs.mean(axis=0), probs.std(axis=0)
+    rows = np.arange(mu.shape[0])
+    order = np.argsort(-mu, axis=1, kind="stable")
+    i, j = order[:, 0], order[:, 1]
+    mu_i, mu_j, sig_i, sig_j = mu[rows, i], mu[rows, j], sigma[rows, i], sigma[rows, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = 1.0 - np.exp(-(mu_i - mu_j) / (sig_i + sig_j + eps))
+        snr = (mu_i - mu_j) / (sig_i + sig_j + eps)
+    snr = np.where(np.isnan(snr), 0.0, snr)
+    fires = (mu_i - k * sig_i) > (mu_j + k * sig_j)
+    corner = (mu_i - mu_j == 0) & (sig_i + sig_j + eps == 0)
+    return 1.0 - mu_i * gamma, gamma, snr, np.where(fires, i, -1), corner
+
+
+# Row weights with many exact zeros, so one-hot rows and ties are common.
+_weights = st.one_of(st.sampled_from([0.0, 0.0, 1.0, 0.5]), st.floats(1e-6, 1.0))
+
+
+@st.composite
+def _probs_tensors(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(2, 5)))
+    weights = draw(hnp.arrays(np.float64, shape, elements=_weights))
+    weights[..., 0] += weights.sum(axis=-1) == 0  # no all-zero rows
+    data = weights / weights.sum(axis=-1, keepdims=True)
+    if draw(st.booleans()):
+        data = data.astype(np.float32)
+    return make_tensor(data, kind="probs")
+
+
+K_VALUES = (0.5, 1.0, 2.0, 4.0)
+
+
+class TestViewMatchesReference:
+    @given(tensor=_probs_tensors(), eps=st.sampled_from([1e-8, 1e-3, 0.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, tensor, eps):
+        ens = Ensemble(member_probs(tensor))
+        ref_std = _ref_standard(tensor)
+        for got in (decompose(ens), standard_decomposition(tensor)):
+            for value, ref in zip(got, ref_std):
+                assert np.array_equal(value, ref)
+        for view_fn, tensor_fn, ref_fn in (
+            (pairwise_ce, epce, _ref_epce),
+            (pairwise_kl, epkl, _ref_epkl),
+            (pairwise_js, epjs, _ref_epjs),
+        ):
+            ref = ref_fn(tensor)
+            assert np.array_equal(view_fn(ens), ref)
+            assert np.array_equal(tensor_fn(tensor), ref)
+
+        gate_eps = eps or 1e-8  # gating requires eps > 0
+        for k in K_VALUES:
+            cfg = GateConfig(k=k, epsilon=gate_eps)
+            ref = _ref_gated(tensor, k, gate_eps)
+            for got in (decompose_gated(ens, cfg), gated_decomposition(tensor, cfg)):
+                for value, ref_value in zip(got, ref):
+                    assert np.array_equal(value, ref_value)
+
+            gmu, gamma = gmu_multiclass(ens.stats, eps=eps)
+            decisions = decide_multiclass(ens.stats, k=k, eps=eps)
+            ref_gmu, ref_gamma, ref_snr, ref_decision, corner = _ref_margin(tensor, k, eps)
+            assert np.array_equal(gmu[~corner], ref_gmu[~corner])
+            assert np.array_equal(gamma[~corner], ref_gamma[~corner])
+            assert (gmu[corner] == 1.0).all() and (gamma[corner] == 0.0).all()
+            assert np.array_equal(decisions.snr, ref_snr)
+            assert np.array_equal(decisions.decision, ref_decision)
+
+    def test_view_computes_no_entropy_for_moments(self, rng):
+        ens = Ensemble(member_probs(probs_tensor(random_probs(rng, 3, 4, 5))))
+        decide_multiclass(ens.stats, k=1.0)
+        gmu_multiclass(ens.stats)
+        assert "_log_terms" not in vars(ens)
+        assert "top2" in vars(ens.stats)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uqgate import ClassStats, ensemble_mean, ensemble_std, entropy, softmax, softmax_tensor
+from uqgate import ClassStats, entropy, softmax, softmax_tensor
 from uqgate.ept import EptValidationError
 
 from conftest import logits_tensor, probs_tensor, random_probs
@@ -65,41 +65,41 @@ class TestMoments:
         row = random_probs(rng, 1, 4, 3)[0]
         # Power-of-two member count keeps the mean bit-exact.
         tensor = probs_tensor(np.broadcast_to(row, (4, 4, 3)))
-        np.testing.assert_array_equal(ensemble_mean(tensor), row)
-        np.testing.assert_array_equal(ensemble_std(tensor), np.zeros((4, 3)))
+        np.testing.assert_array_equal(ClassStats.from_tensor(tensor).mu, row)
+        np.testing.assert_array_equal(ClassStats.from_tensor(tensor).sigma, np.zeros((4, 3)))
         tensor = probs_tensor(np.broadcast_to(row, (5, 4, 3)))
-        np.testing.assert_allclose(ensemble_mean(tensor), row, atol=1e-15)
-        np.testing.assert_allclose(ensemble_std(tensor), 0.0, atol=1e-15)
+        np.testing.assert_allclose(ClassStats.from_tensor(tensor).mu, row, atol=1e-15)
+        np.testing.assert_allclose(ClassStats.from_tensor(tensor).sigma, 0.0, atol=1e-15)
 
     def test_two_member_arithmetic(self):
         tensor = probs_tensor([[[0.9, 0.1]], [[0.5, 0.5]]])
-        np.testing.assert_allclose(ensemble_mean(tensor), [[0.7, 0.3]])
-        np.testing.assert_allclose(ensemble_std(tensor), [[0.2, 0.2]], atol=1e-15)
+        np.testing.assert_allclose(ClassStats.from_tensor(tensor).mu, [[0.7, 0.3]])
+        np.testing.assert_allclose(ClassStats.from_tensor(tensor).sigma, [[0.2, 0.2]], atol=1e-15)
 
     def test_matches_two_pass_oracle(self, rng):
         data = random_probs(rng, 7, 11, 5)
         tensor = probs_tensor(data)
         mu, sigma = two_pass_moments(data)
-        np.testing.assert_allclose(ensemble_mean(tensor), mu, atol=1e-12)
-        np.testing.assert_allclose(ensemble_std(tensor), sigma, atol=1e-12)
+        np.testing.assert_allclose(ClassStats.from_tensor(tensor).mu, mu, atol=1e-12)
+        np.testing.assert_allclose(ClassStats.from_tensor(tensor).sigma, sigma, atol=1e-12)
 
     def test_mean_rows_sum_to_one(self, rng):
         tensor = probs_tensor(random_probs(rng, 6, 40, 8))
-        np.testing.assert_allclose(ensemble_mean(tensor).sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(ClassStats.from_tensor(tensor).mu.sum(axis=1), 1.0, atol=1e-9)
 
     def test_sigma_bounded_by_half(self, rng):
         # 0/1-valued members maximize the spread.
         data = rng.integers(0, 2, size=(8, 20, 2)).astype(np.float64)
         data[..., 1] = 1.0 - data[..., 0]
         tensor = probs_tensor(data)
-        assert (ensemble_std(tensor) <= 0.5 + 1e-15).all()
+        assert (ClassStats.from_tensor(tensor).sigma <= 0.5 + 1e-15).all()
 
     def test_logits_rejected(self, rng):
         tensor = logits_tensor(rng.normal(size=(2, 3, 4)))
         with pytest.raises(EptValidationError, match="probs"):
-            ensemble_mean(tensor)
+            ClassStats.from_tensor(tensor).mu
         with pytest.raises(EptValidationError, match="probs"):
-            ensemble_std(tensor)
+            ClassStats.from_tensor(tensor).sigma
 
     def test_class_stats_wrapper(self, rng):
         data = random_probs(rng, 3, 6, 4)
