@@ -40,6 +40,10 @@ from .stats import ClassStats, Ensemble, member_probs, softmax_tensor
 DEFAULT_K = 1.0
 DEFAULT_EPS = 1e-8
 
+EMIT_ROWS = 4096  # table rows formatted and written per block
+_INT_COLUMNS = ("sample", "decision", "correct", "epoch", "collapse")
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> json
+
 OOD_MEASURES = (
     "tu", "au", "eu", "epce", "epkl", "epjs", "gmu",
     "gated_tu", "gated_au", "gated_eu",
@@ -125,35 +129,39 @@ def _report_rows(tensor, labels, configs):
     return columns
 
 
-def _records(columns):
-    """Yield each row's cells, converted once: int, float or "uncertain"."""
-    for row in range(len(columns[0][1])):
-        record = []
-        for name, values in columns:
-            v = values[row]
-            if name == "decision" and v == margin.UNCERTAIN:
-                record.append("uncertain")
-            elif name in ("sample", "decision", "correct", "epoch", "collapse"):
-                record.append(int(v))
-            else:
-                record.append(float(v))
-        yield record
+def _cells(name, values, fmt):
+    """One column's cells as text: int, float, or "uncertain" for an undecided decision."""
+    if name not in _INT_COLUMNS:
+        if fmt == "csv":
+            return list(map(_fmt, values.tolist()))
+        return [_JSON_NONFINITE.get(cell, cell) for cell in map(repr, values.tolist())]
+    ints = values.astype(np.int64).tolist()
+    if name != "decision":
+        return list(map(str, ints))
+    undecided = "uncertain" if fmt == "csv" else '"uncertain"'
+    return [undecided if v == margin.UNCERTAIN else str(v) for v in ints]
 
 
 def _emit_table(columns, fmt, out):
-    """Write the columns as CSV, one row at a time, or as a JSON list of records."""
+    """Write CSV, or what ``json.dump(records, out, indent=2)`` writes, EMIT_ROWS rows a block."""
     names = [name for name, _ in columns]
+    rows = len(columns[0][1])
     if fmt == "csv":
         out.write(",".join(names) + "\n")
-        for record in _records(columns):
-            out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in record) + "\n")
+        record, sep = ",".join(["%s"] * len(names)) + "\n", ""
     else:
-        json.dump([dict(zip(names, record)) for record in _records(columns)], out, indent=2)
-        out.write("\n")
+        out.write("[\n" if rows else "[")
+        record = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in names) + "\n  }"
+        sep = ",\n"
+    for start in range(0, rows, EMIT_ROWS):
+        cells = [_cells(name, values[start:start + EMIT_ROWS], fmt) for name, values in columns]
+        out.write((sep if start else "") + sep.join([record % row for row in zip(*cells)]))
+    if fmt == "json":
+        out.write("\n]\n" if rows else "]\n")
 
 
 def cmd_report(args) -> int:
-    # GateConfig applies the k rule and gating.check_epsilon before any input is read.
+    # GateConfig applies gating.check_k and gating.check_epsilon before any input is read.
     k_values = list(dict.fromkeys(_parse_float_list(args.k)))
     configs = [gating.GateConfig(k=k, epsilon=args.epsilon) for k in k_values]
     tensor = _load_probs(args.input)
@@ -199,12 +207,15 @@ def cmd_diversity(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    k_grid = _parse_k_grid(args.k_grid)
+    for k in k_grid:
+        gating.check_k(k)
     gating.check_epsilon(args.epsilon)
     tensor = _load_probs(args.input)
     _require_multiclass(tensor, "coverage")
     labels = read_labels_file(args.labels, tensor.manifest)
     stats = ClassStats.from_tensor(tensor)
-    curve = diagnostics.coverage_risk(stats, labels, _parse_k_grid(args.k_grid), eps=args.epsilon)
+    curve = diagnostics.coverage_risk(stats, labels, k_grid, eps=args.epsilon)
     with _open_output(args.output) as out:
         out.write("k,coverage,risk\n")
         for k, cov, risk in zip(curve.k, curve.coverage, curve.risk):
@@ -271,6 +282,7 @@ def _ood_scores(tensor: PredictionTensor, names, k: float, eps: float) -> list[n
 
 
 def cmd_ood(args) -> int:
+    gating.check_k(args.k)
     gating.check_epsilon(args.epsilon)
     if args.measure not in (*OOD_MEASURES, "all"):
         raise ValueError(f"unknown measure {args.measure!r}; choose from {OOD_MEASURES} or 'all'")
@@ -393,8 +405,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EptError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EptError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .ept import EptValidationError, PredictionTensor
 from .margin import DEFAULT_EPS, UNCERTAIN, decide_multiclass
@@ -117,9 +116,20 @@ def auroc(scores_negative: np.ndarray, scores_positive: np.ndarray) -> float:
         raise ValueError("both score lists must be non-empty")
     if not (np.isfinite(neg).all() and np.isfinite(pos).all()):
         raise ValueError("scores must be finite")
-    ranks = rankdata(np.concatenate([neg, pos]), method="average")
+    ranks = _midranks(np.concatenate([neg, pos]))
     u = ranks[neg.size:].sum() - pos.size * (pos.size + 1) / 2.0
     return float(u / (neg.size * pos.size))
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties given the mean of their ranks (``rankdata`` "average")."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # Tied runs [start, end) of sorted positions; each shares rank (start + end + 1) / 2.
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
+    return ranks
 
 
 def ece(mean_probs: np.ndarray, labels: np.ndarray, bins: int = 15) -> float:

@@ -36,9 +36,14 @@ class GateConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+        check_k(self.k)
         check_epsilon(self.epsilon)
+
+
+def check_k(k: float) -> None:
+    """The one gate-sensitivity rule, shared by GateConfig, the margin rules and the CLI: k > 0."""
+    if not k > 0:
+        raise ValueError(f"k must be positive, got {k}")
 
 
 def check_epsilon(epsilon: float) -> None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gating import check_k
 from .stats import ClassStats
 
 DEFAULT_EPS = 1e-8
@@ -79,8 +80,7 @@ def decide_multiclass(
     stats: ClassStats, k: float, eps: float = DEFAULT_EPS
 ) -> MulticlassDecisions:
     """Apply the margin rule: predict top-1 iff mu(i) - k sigma(i) > mu(j) + k sigma(j)."""
-    if not k > 0:
-        raise ValueError(f"k must be positive, got {k}")
+    check_k(k)
     rows, i, j, snr = _top2_snr(stats, eps)
     mu, sigma = stats.mu, stats.sigma
     fires = (mu[rows, i] - k * sigma[rows, i]) > (mu[rows, j] + k * sigma[rows, j])
@@ -114,8 +114,7 @@ def decide_multilabel(
     PRESENT where the rule fires with u > 0.5, ABSENT where it fires with
     u < 0.5, UNCERTAIN otherwise.
     """
-    if not k > 0:
-        raise ValueError(f"k must be positive, got {k}")
+    check_k(k)
     u = np.asarray(mu_label, dtype=np.float64)
     sigma = np.asarray(sigma_label, dtype=np.float64)
     mu_i = np.maximum(u, 1.0 - u)

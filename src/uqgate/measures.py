@@ -3,8 +3,10 @@
 The pairwise measures (EPCE, EPKL, EPJS) average over all M^2 ordered member
 pairs including self-pairs; self terms vanish for KL and JS and reduce to
 member entropies for cross-entropy, which yields the exact identity
-EPKL = EPCE - AU. Logs share the 1e-12 clamp from stats, so divergences of
-disjoint one-hot rows stay large but finite (about 27.6 nats).
+EPKL = EPCE - AU. EPJS still averages over every ordered pair, but computes
+each unordered pair once, in sample blocks. Logs share the 1e-12 clamp from
+stats, so divergences of disjoint one-hot rows stay large but finite (about
+27.6 nats).
 
 Each measure is computed from a tensor's shared :class:`~uqgate.stats.Ensemble`
 view; the functions taking a tensor build that view and delegate.
@@ -17,6 +19,8 @@ import numpy as np
 from .ept import PredictionTensor
 from .gating import Decomposition
 from .stats import Ensemble, entropy, member_probs
+
+JS_BLOCK = 1024  # samples per EPJS block; bounds its (M, M, B) and (M, B, C) arrays
 
 
 def decompose(ens: Ensemble) -> Decomposition:
@@ -43,15 +47,25 @@ def pairwise_kl(ens: Ensemble) -> np.ndarray:
 def pairwise_js(ens: Ensemble) -> np.ndarray:
     """Expected pairwise Jensen-Shannon divergence per sample, in nats.
 
-    JS(p, q) = H((p + q) / 2) - (H(p) + H(q)) / 2; bounded by ln 2.
-    Mixture entropies do not factorize, so one member is blocked at a time
-    to keep memory at O(MNC) instead of O(M^2 NC).
+    JS(p, q) = H((p + q) / 2) - (H(p) + H(q)) / 2; bounded by ln 2. The mean
+    still covers all M^2 ordered pairs, but each unordered pair's mixture
+    entropy (H_ij = H_ji bit for bit: IEEE addition commutes) is computed
+    once, over blocks of JS_BLOCK samples, and summed in ordered-pair order.
     """
     probs = ens.probs
     m, n, _ = probs.shape
-    mix_h_total = np.zeros(n)
-    for i in range(m):
-        mix_h_total += entropy((probs[i][None, :, :] + probs) / 2.0).sum(axis=0)
+    mix_h_total = np.empty(n)
+    # No 1-sample last block: numpy would sum its M terms pairwise, not in order.
+    bounds = [0, *range(JS_BLOCK, n - 1, JS_BLOCK), n]
+    for start, stop in zip(bounds, bounds[1:]):
+        block = probs[:, start:stop]
+        h = np.empty((m, m, block.shape[1]))  # h[i, j] = H((p_i + p_j) / 2)
+        for i in range(m):
+            h[i, i:] = h[i:, i] = entropy((block[i] + block[i:]) / 2.0)
+        total = np.zeros(block.shape[1])
+        for per_i in h.sum(axis=1):
+            total += per_i
+        mix_h_total[start:stop] = total
     mean_mix_h = mix_h_total / (m * m)
     return mean_mix_h - ens.member_entropy.mean(axis=0)
 

@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism, stream separation."""
 
+import io
 import json
 import struct
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from uqgate import SynthConfig, generate, make_tensor, write_ept_file
+from uqgate import UNCERTAIN, GateConfig, SynthConfig, cli, generate, make_tensor, write_ept_file
 from uqgate.cli import main
 from uqgate.ept import write_labels
 
@@ -339,3 +340,118 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "x_probs.ept").exists()
+
+
+@pytest.mark.parametrize("k", ["-3", "0", "nan"])
+def test_ood_k_must_be_positive(workdir, capsys, k):
+    # Every ood measure, not only the gated ones, rejects k before reading input.
+    code, out, err = run(capsys, "ood", "--id", workdir / "nope.ept", "--ood",
+                         workdir / "nope.ept", "--measure", "epjs", f"--k={k}")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: k must be positive")
+
+
+@pytest.mark.parametrize("grid", ["0:4:5", "1,-2", "0.5,nan"])
+def test_coverage_k_grid_checked_before_input(tmp_path, capsys, grid):
+    code, out, err = run(capsys, "coverage", "--input", tmp_path / "nope.ept", "--labels",
+                         tmp_path / "nope.csv", "--k-grid", grid)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: k must be positive")
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 8 EiB")])
+def test_memory_error_fails_cleanly(workdir, capsys, monkeypatch, error):
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_report", exhausted)
+    code, out, err = run(capsys, "report", "--input", workdir / "probs.ept")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.strip() == f"error: {str(error) or 'MemoryError'}"
+
+
+# ---------------------------------------------------------------------------
+# The column-block table writer against the row-by-row one it replaced.
+
+
+def _reference_records(columns):
+    for row in range(len(columns[0][1])):
+        record = []
+        for name, values in columns:
+            v = values[row]
+            if name == "decision" and v == UNCERTAIN:
+                record.append("uncertain")
+            elif name in ("sample", "decision", "correct", "epoch", "collapse"):
+                record.append(int(v))
+            else:
+                record.append(float(v))
+        yield record
+
+
+def _reference_emit_table(columns, fmt, out):
+    names = [name for name, _ in columns]
+    if fmt == "csv":
+        out.write(",".join(names) + "\n")
+        for record in _reference_records(columns):
+            out.write(",".join(cli._fmt(v) if isinstance(v, float) else str(v)
+                               for v in record) + "\n")
+    else:
+        json.dump([dict(zip(names, record)) for record in _reference_records(columns)],
+                  out, indent=2)
+        out.write("\n")
+
+
+def _report_columns(data, eps=1e-8, labels=None):
+    configs = [GateConfig(k=k, epsilon=eps) for k in (0.5, 1.0, 2.0)]
+    return cli._report_rows(probs_tensor(data), labels, configs)
+
+
+def _assert_tables_match(columns, rows_per_block, monkeypatch):
+    monkeypatch.setattr(cli, "EMIT_ROWS", rows_per_block)
+    for fmt in ("csv", "json"):
+        got, ref = io.StringIO(), io.StringIO()
+        cli._emit_table(columns, fmt, got)
+        _reference_emit_table(columns, fmt, ref)
+        assert got.getvalue() == ref.getvalue()
+
+
+class TestEmitTable:
+    @pytest.mark.parametrize("samples", [1, 3, 4, 5, 8, 9])
+    def test_report_rows_around_the_block_size(self, rng, monkeypatch, samples):
+        data = random_probs(rng, 5, samples, 4)
+        labels = rng.integers(0, 4, size=samples)
+        _assert_tables_match(_report_columns(data, labels=labels), 4, monkeypatch)
+
+    def test_uncertain_and_decided_rows(self, rng, monkeypatch):
+        confident = np.broadcast_to(np.array([0.9, 0.05, 0.05]), (4, 3, 3))
+        data = np.concatenate([confident, random_probs(rng, 4, 7, 3)], axis=1)
+        decisions = dict(_report_columns(data))["decision"]
+        assert (decisions == UNCERTAIN).any() and (decisions != UNCERTAIN).any()
+        _assert_tables_match(_report_columns(data), 4, monkeypatch)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_infinite_snr(self, rng, monkeypatch):
+        # One member has zero spread, so a subnormal eps makes every SNR infinite.
+        columns = _report_columns(random_probs(rng, 1, 6, 3), eps=5e-324)
+        assert np.isinf(dict(columns)["snr"]).all()
+        _assert_tables_match(columns, 4, monkeypatch)
+
+    def test_nan_and_negative_zero_cells(self, monkeypatch):
+        columns = [("sample", np.arange(5)),
+                   ("risk", np.array([np.nan, -0.0, 0.0, -np.inf, 1e-300])),
+                   ("decision", np.array([UNCERTAIN, 0, 2, UNCERTAIN, 1]))]
+        _assert_tables_match(columns, 2, monkeypatch)
+
+    def test_diversity_bool_collapse_column(self, monkeypatch):
+        columns = [("epoch", np.arange(6)),
+                   ("diversity", np.array([0.3, 0.1, 1e-4, 5e-5, 1e-6, 0.0])),
+                   ("collapse", np.arange(6) == 2)]
+        _assert_tables_match(columns, 4, monkeypatch)
+
+    def test_no_rows(self, monkeypatch):
+        columns = [("epoch", np.arange(0)), ("diversity", np.zeros(0))]
+        _assert_tables_match(columns, 4, monkeypatch)

@@ -18,6 +18,7 @@ from uqgate import (
     generate_collapse_series,
     standard_decomposition,
 )
+from uqgate.diagnostics import _midranks
 from uqgate.ept import EptValidationError
 
 from conftest import probs_tensor, random_probs
@@ -183,6 +184,26 @@ class TestAuroc:
             np.testing.assert_allclose(
                 auroc(neg, pos), pairwise_auroc(neg, pos), atol=1e-12
             )
+
+    def test_heavy_ties_and_signed_zeros(self, rng):
+        for _ in range(25):
+            neg = rng.integers(-2, 3, size=rng.integers(1, 120)).astype(np.float64)
+            pos = rng.integers(-1, 4, size=rng.integers(1, 120)).astype(np.float64)
+            neg[rng.random(neg.size) < 0.3] = -0.0
+            pos[rng.random(pos.size) < 0.3] = 0.0
+            np.testing.assert_allclose(
+                auroc(neg, pos), pairwise_auroc(neg, pos), atol=1e-12
+            )
+        assert auroc([-0.0, -0.0], [0.0]) == 0.5
+
+    def test_midranks_match_rankdata(self, rng):
+        rankdata = pytest.importorskip("scipy.stats").rankdata
+        for _ in range(50):
+            values = rng.integers(-3, 4, size=rng.integers(1, 300)).astype(np.float64)
+            values[rng.random(values.size) < 0.2] = -0.0
+            assert np.array_equal(_midranks(values), rankdata(values, method="average"))
+        values = rng.normal(size=500)
+        assert np.array_equal(_midranks(values), rankdata(values, method="average"))
 
     def test_antisymmetry(self, rng):
         neg = rng.normal(size=60)

@@ -1,6 +1,7 @@
 """Entropy decomposition and pairwise divergences against explicit pair loops."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -17,6 +18,7 @@ from uqgate import (
     make_tensor,
     standard_decomposition,
 )
+from uqgate import measures
 from uqgate.gating import decompose_gated
 from uqgate.measures import decompose, pairwise_ce, pairwise_js, pairwise_kl
 from uqgate.stats import member_probs
@@ -275,3 +277,53 @@ class TestViewMatchesReference:
         gmu_multiclass(ens.stats)
         assert "_log_terms" not in vars(ens)
         assert "top2" in vars(ens.stats)
+
+
+# ---------------------------------------------------------------------------
+# EPJS over unordered pairs in sample blocks against the ordered-pair loop it
+# replaced (_ref_epjs), at block sizes small enough to reach every block layout.
+
+
+@st.composite
+def _js_cases(draw):
+    block = draw(st.integers(2, 5))
+    # Up to 10 members: from 8 on, numpy sums a lone sample's terms pairwise.
+    shape = (draw(st.integers(1, 10)), draw(st.integers(1, 3 * block + 2)), draw(st.integers(2, 5)))
+    weights = draw(hnp.arrays(np.float64, shape, elements=_weights))
+    weights[..., 0] += weights.sum(axis=-1) == 0
+    data = weights / weights.sum(axis=-1, keepdims=True)
+    if draw(st.booleans()):
+        data = data.astype(np.float32)
+    return block, make_tensor(data, kind="probs")
+
+
+def _assert_blocked_js_matches(tensor, block):
+    ens = Ensemble(member_probs(tensor))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "JS_BLOCK", block)
+        got = pairwise_js(ens)
+    ref = _ref_epjs(tensor)
+    assert np.array_equal(got, ref)
+    assert got.tobytes() == ref.tobytes()  # signs of zeros too
+
+
+class TestBlockedEpjs:
+    @given(case=_js_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_ordered_pairs(self, case):
+        block, tensor = case
+        _assert_blocked_js_matches(tensor, block)
+
+    @pytest.mark.parametrize("members", [1, 2, 9, 12])
+    @pytest.mark.parametrize("samples", [1, 2, 3, 4, 5, 7, 8, 9, 12, 13])
+    def test_every_block_layout(self, rng, members, samples):
+        # Block 4: N below, equal to and above it, multiples and remainders 1 to 3.
+        data = rng.dirichlet(np.full(6, 0.3), size=(members, samples))
+        data[:, ::3] = np.eye(6)[rng.integers(0, 6, size=(members, len(data[0, ::3])))]
+        for precision in (np.float64, np.float32):
+            tensor = make_tensor(data.astype(precision), kind="probs")
+            _assert_blocked_js_matches(tensor, 4)
+
+    def test_default_block_on_a_larger_tensor(self, rng):
+        tensor = probs_tensor(random_probs(rng, 12, 2 * measures.JS_BLOCK + 1, 4))
+        _assert_blocked_js_matches(tensor, measures.JS_BLOCK)
