@@ -6,6 +6,12 @@ golden-section refinement of the bracketing interval down to a relative
 width of 1e-4. T = 1 is always a candidate, so calibration never increases
 NLL, and dividing logits by a positive scalar preserves the argmax, so
 accuracy is untouched.
+
+A per-member fit searches every member in lockstep: each NLL evaluation
+scores all members at once, while each member keeps its own bracket. A
+global fit pools the members as extra samples without stacking a copy of
+them. Both give bit for bit the temperatures and NLLs of the scalar search,
+``nll(apply_temperature(logits, T), labels)`` at each probed T.
 """
 
 from __future__ import annotations
@@ -57,27 +63,87 @@ def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(np.clip(picked, LOG_CLAMP, None)).mean())
 
 
-def _nll_at(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    return nll(apply_temperature(logits, temperature), labels)
+class _Nll:
+    """NLL(T) of (B, N, C) float64 logit blocks, B temperatures per call.
+
+    A call performs the IEEE operations of ``nll(apply_temperature(x, T),
+    labels)`` on each block x, in the same order, so each loss is bit-identical
+    to that path. Rounding is monotone, so max(x / T) == max(x) / T and the
+    row maxima and label logits are taken once; the (N, C) softmax is never
+    formed, as only each row's sum and label term enter the NLL.
+
+    ``pooled`` applies one temperature to every block and averages over all
+    B * N samples, as over the blocks stacked as extra samples.
+    """
+
+    def __init__(self, logits: np.ndarray, labels: np.ndarray, pooled: bool = False):
+        samples = logits.shape[1]
+        self.rowmax = logits.max(axis=-1)
+        # The search divides by T >= T_MIN, so x / T is finite for every
+        # probed T iff it is at T_MIN, the first grid point.
+        with np.errstate(over="ignore"):
+            extremes = np.array([logits.min(), self.rowmax.max()]) / T_MIN
+        if not np.isfinite(extremes).all():
+            raise ValueError("softmax requires finite inputs")
+        labels = np.asarray(labels)
+        if labels.shape != (samples,):
+            raise ValueError(f"labels shape {labels.shape} does not match {samples} samples")
+        self.logits = logits
+        # Row-major, so each block's mean sums its samples in the order the
+        # scalar path does; fancy indexing may lay (B, N) out transposed.
+        self.label = np.ascontiguousarray(logits[:, np.arange(samples), labels])
+        self.count = 1 if pooled else logits.shape[0]
+        self._buffer = np.empty_like(logits)
+
+    def __call__(self, temperatures: np.ndarray) -> np.ndarray:
+        """Mean NLL per block, or one pooled mean, at (count,) temperatures."""
+        t = np.asarray(temperatures, dtype=np.float64).reshape(-1, 1)
+        maxes = self.rowmax / t
+        shifted = np.divide(self.logits, t[..., None], out=self._buffer)
+        shifted -= maxes[..., None]
+        sums = np.exp(shifted, out=shifted).sum(axis=-1)
+        picked = np.exp(self.label / t - maxes)
+        picked /= sums
+        np.clip(picked, LOG_CLAMP, None, out=picked)
+        return -np.log(picked, out=picked).reshape(self.count, -1).mean(axis=-1)
 
 
-def _golden_section(objective, lo: float, hi: float) -> float:
-    """Minimize a unimodal objective over log-temperature [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    # Stop when the bracket, mapped back to temperature, is relatively tight.
-    while math.exp(b) - math.exp(a) > RELATIVE_WIDTH * math.exp((a + b) / 2.0):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = objective(d)
-    return (a + b) / 2.0
+def _golden_sections(objective, lo: list[float], hi: list[float]) -> list[float]:
+    """Minimize unimodal objectives over log-temperature brackets, in lockstep.
+
+    ``objective`` maps one log-temperature per bracket to one loss per
+    bracket. Each bracket takes the scalar golden-section steps and stops on
+    its own width test; a stopped bracket's probe is still evaluated and its
+    loss left unused.
+    """
+    a, b = list(lo), list(hi)
+    c = [y - _INV_GOLDEN * (y - x) for x, y in zip(a, b)]
+    d = [x + _INV_GOLDEN * (y - x) for x, y in zip(a, b)]
+    fc, fd = list(objective(c)), list(objective(d))
+
+    def still_open(i: int) -> bool:
+        # Stop when the bracket, mapped back to temperature, is relatively tight.
+        return math.exp(b[i]) - math.exp(a[i]) > RELATIVE_WIDTH * math.exp((a[i] + b[i]) / 2.0)
+
+    active = [i for i in range(len(a)) if still_open(i)]
+    while active:
+        left = [False] * len(a)
+        for i in active:
+            if fc[i] < fd[i]:
+                left[i] = True
+                b[i], d[i], fd[i] = d[i], c[i], fc[i]
+                c[i] = b[i] - _INV_GOLDEN * (b[i] - a[i])
+            else:
+                a[i], c[i], fc[i] = c[i], d[i], fd[i]
+                d[i] = a[i] + _INV_GOLDEN * (b[i] - a[i])
+        losses = objective([ci if go_left else di for ci, di, go_left in zip(c, d, left)])
+        for i in active:
+            if left[i]:
+                fc[i] = losses[i]
+            else:
+                fd[i] = losses[i]
+        active = [i for i in active if still_open(i)]
+    return [(x + y) / 2.0 for x, y in zip(a, b)]
 
 
 def temperature_grid(points: int = GRID_POINTS) -> np.ndarray:
@@ -88,37 +154,61 @@ def temperature_grid(points: int = GRID_POINTS) -> np.ndarray:
     return grid
 
 
+def _search(loss: _Nll) -> TemperatureFit:
+    """The documented search for each of ``loss.count`` objectives at once."""
+    count = loss.count
+    grid = temperature_grid()
+    grid_losses = np.stack([loss(np.full(count, t)) for t in grid], axis=1)
+    best = grid_losses.argmin(axis=1)
+    last = len(grid) - 1
+    centres = _golden_sections(
+        # Scalar math.exp: np.exp may differ by one ulp.
+        lambda xs: loss(np.array([math.exp(x) for x in xs])),
+        [math.log(grid[max(j - 1, 0)]) for j in best],
+        [math.log(grid[min(j + 1, last)]) for j in best],
+    )
+    refined = np.array([min(max(math.exp(x), T_MIN), T_MAX) for x in centres])
+
+    rows = np.arange(count)
+    nll_before = loss(np.ones(count))
+    candidates = np.stack([refined, grid[best], np.ones(count)], axis=1)
+    candidate_losses = np.stack([loss(refined), grid_losses[rows, best], nll_before], axis=1)
+    winner = candidate_losses.argmin(axis=1)
+    return TemperatureFit(
+        temperature=candidates[rows, winner],
+        nll_before=nll_before,
+        nll_after=candidate_losses[rows, winner],
+    )
+
+
+def _single(fit: TemperatureFit) -> TemperatureFit:
+    return TemperatureFit(*(float(value[0]) for value in
+                            (fit.temperature, fit.nll_before, fit.nll_after)))
+
+
+def _member_logits(tensor: PredictionTensor) -> np.ndarray:
+    if tensor.manifest.kind != "logits":
+        raise EptValidationError("temperature fitting requires kind=logits")
+    return tensor.data.astype(np.float64, copy=False)
+
+
 def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> TemperatureFit:
     """Fit one temperature to (N, C) logits by minimizing NLL against labels."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ValueError(f"expected (samples, classes) logits, got shape {logits.shape}")
-    grid = temperature_grid()
-    losses = np.array([_nll_at(logits, labels, t) for t in grid])
-    best = int(losses.argmin())
-    lo = math.log(grid[max(best - 1, 0)])
-    hi = math.log(grid[min(best + 1, len(grid) - 1)])
-    refined = math.exp(_golden_section(lambda x: _nll_at(logits, labels, math.exp(x)), lo, hi))
-    refined = min(max(refined, T_MIN), T_MAX)
-
-    nll_before = _nll_at(logits, labels, 1.0)
-    candidates = [refined, float(grid[best]), 1.0]
-    candidate_losses = [_nll_at(logits, labels, t) for t in candidates]
-    winner = int(np.argmin(candidate_losses))
-    return TemperatureFit(
-        temperature=candidates[winner],
-        nll_before=nll_before,
-        nll_after=candidate_losses[winner],
-    )
+    return _single(_search(_Nll(logits[None], labels)))
 
 
 def fit_per_member(tensor: PredictionTensor, labels: np.ndarray) -> TemperatureFit:
     """Independent temperature fit for every member slice of a logits tensor."""
-    if tensor.manifest.kind != "logits":
-        raise EptValidationError("temperature fitting requires kind=logits")
-    fits = [fit_temperature(member, labels) for member in tensor.data.astype(np.float64)]
-    return TemperatureFit(
-        temperature=np.array([f.temperature for f in fits]),
-        nll_before=np.array([f.nll_before for f in fits]),
-        nll_after=np.array([f.nll_after for f in fits]),
-    )
+    return _search(_Nll(_member_logits(tensor), labels))
+
+
+def fit_global(tensor: PredictionTensor, labels: np.ndarray) -> TemperatureFit:
+    """One temperature shared by every member of a logits tensor.
+
+    Members count as extra samples, so with M = 1 this is ``fit_temperature``
+    on the one member.
+    """
+    return _single(_search(_Nll(_member_logits(tensor), labels, pooled=True)))

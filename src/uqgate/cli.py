@@ -241,11 +241,7 @@ def cmd_calibrate(args) -> int:
             "nll_after": [float(v) for v in fit.nll_after],
         }
     else:
-        # One temperature shared by the committee: members stack as extra
-        # samples, which reduces to the plain fit when M = 1.
-        m, n, c = tensor.shape
-        stacked = tensor.data.astype(np.float64).reshape(m * n, c)
-        fit = calibration.fit_temperature(stacked, np.tile(labels, m))
+        fit = calibration.fit_global(tensor, labels)
         payload = {
             "temperature": float(fit.temperature),
             "nll_before": float(fit.nll_before),

@@ -78,7 +78,10 @@ def gate(mu: np.ndarray, sigma: np.ndarray, cfg: GateConfig) -> np.ndarray:
     """Variance gate values, elementwise in [0, 1)."""
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    return 1.0 - np.exp(-mu / (cfg.k * sigma + cfg.epsilon))
+    # Zero spread over a subnormal eps overflows to an infinite ratio: gate 1.
+    with np.errstate(over="ignore"):
+        ratio = -mu / (cfg.k * sigma + cfg.epsilon)
+    return 1.0 - np.exp(ratio)
 
 
 def gate_ensemble(ens: Ensemble, cfg: GateConfig) -> GatedEnsemble:

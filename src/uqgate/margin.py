@@ -62,7 +62,8 @@ def top2(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _snr(margin: np.ndarray, spread: np.ndarray, eps: float) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Zero spread over a subnormal eps overflows to an infinite SNR.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         snr = margin / (spread + eps)
     # 0/0 (tied means, zero spread, eps=0) counts as no signal.
     return np.where(np.isnan(snr), 0.0, snr)

@@ -1,7 +1,11 @@
 """Temperature scaling: closed forms, synthetic inversion, search determinism."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqgate import (
     SynthConfig,
@@ -13,7 +17,7 @@ from uqgate import (
     nll,
     softmax,
 )
-from uqgate.calibration import temperature_grid
+from uqgate.calibration import fit_global, temperature_grid
 from uqgate.ept import EptValidationError
 
 
@@ -148,3 +152,166 @@ class TestFitPerMember:
         tensor = make_tensor(data, kind="probs")
         with pytest.raises(EptValidationError, match="logits"):
             fit_per_member(tensor, np.zeros(4, dtype=int))
+
+
+# ---------------------------------------------------------------------------
+# The lockstep search against the scalar one it replaced: one full softmax
+# NLL per probed temperature, one member at a time, and the global fit over
+# the members stacked as extra samples.
+
+
+def _ref_nll_at(logits, labels, temperature):
+    return nll(apply_temperature(logits, temperature), labels)
+
+
+def _ref_golden_section(objective, lo, hi):
+    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_golden * (b - a)
+    d = a + inv_golden * (b - a)
+    fc, fd = objective(c), objective(d)
+    while math.exp(b) - math.exp(a) > 1e-4 * math.exp((a + b) / 2.0):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_golden * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_golden * (b - a)
+            fd = objective(d)
+    return (a + b) / 2.0
+
+
+def _ref_fit_temperature(logits, labels):
+    logits = np.asarray(logits, dtype=np.float64)
+    grid = temperature_grid()
+    losses = np.array([_ref_nll_at(logits, labels, t) for t in grid])
+    best = int(losses.argmin())
+    lo = math.log(grid[max(best - 1, 0)])
+    hi = math.log(grid[min(best + 1, len(grid) - 1)])
+    refined = math.exp(
+        _ref_golden_section(lambda x: _ref_nll_at(logits, labels, math.exp(x)), lo, hi))
+    refined = min(max(refined, 0.01), 10.0)
+    nll_before = _ref_nll_at(logits, labels, 1.0)
+    candidates = [refined, float(grid[best]), 1.0]
+    candidate_losses = [_ref_nll_at(logits, labels, t) for t in candidates]
+    winner = int(np.argmin(candidate_losses))
+    return candidates[winner], nll_before, candidate_losses[winner]
+
+
+def _ref_fit_per_member(data, labels):
+    fits = [_ref_fit_temperature(member, labels) for member in data.astype(np.float64)]
+    return tuple(np.array(column) for column in zip(*fits))
+
+
+def _ref_fit_global(data, labels):
+    m, n, c = data.shape
+    return _ref_fit_temperature(data.astype(np.float64).reshape(m * n, c), np.tile(labels, m))
+
+
+def _fields(fit):
+    return fit.temperature, fit.nll_before, fit.nll_after
+
+
+def _logit_case(seed, members, samples, classes, scale, labelling, binary32):
+    rng = np.random.default_rng(seed)
+    data = scale * rng.normal(size=(members, samples, classes))
+    if binary32:
+        data = data.astype(np.float32)
+    if labelling == "argmax":  # sharp labels: the optimum is at T_MIN
+        labels = data[0].argmax(axis=1)
+    elif labelling == "softmax":
+        cdf = softmax(data[0].astype(np.float64)).cumsum(axis=1)
+        labels = np.minimum((cdf < rng.random((samples, 1))).sum(axis=1), classes - 1)
+    else:  # random labels: with large logits the optimum is at T_MAX
+        labels = rng.integers(0, classes, size=samples)
+    return make_tensor(data, kind="logits"), labels
+
+
+def _assert_bit_identical(tensor, labels):
+    data = tensor.data
+    per_member = fit_per_member(tensor, labels)
+    for got, want in zip(_fields(per_member), _ref_fit_per_member(data, labels)):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    for got, want in zip(_fields(fit_global(tensor, labels)), _ref_fit_global(data, labels)):
+        assert type(got) is float and got == want
+    first = _ref_fit_temperature(data[0], labels)
+    assert _fields(fit_temperature(data[0], labels)) == first
+    return first
+
+
+@st.composite
+def _logit_cases(draw):
+    return _logit_case(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        members=draw(st.integers(1, 4)),
+        samples=draw(st.integers(1, 80)),
+        classes=draw(st.one_of(st.sampled_from([2, 100]), st.integers(2, 12))),
+        scale=draw(st.sampled_from([1e-3, 0.1, 1.0, 4.0, 200.0])),
+        labelling=draw(st.sampled_from(["argmax", "softmax", "random"])),
+        binary32=draw(st.booleans()),
+    )
+
+
+class TestLockstepSearch:
+    @given(case=_logit_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_scalar_search(self, case):
+        _assert_bit_identical(*case)
+
+    @pytest.mark.parametrize("members,samples,classes,scale,labelling,binary32,edge", [
+        (1, 1, 2, 1.0, "softmax", False, None),
+        (3, 1, 100, 1.0, "random", True, None),
+        (1, 400, 100, 1.0, "softmax", False, None),
+        (5, 300, 10, 2.5, "softmax", True, None),
+        # From about 32k (M, N) entries numpy may lay out per-sample arrays
+        # transposed, and a transposed row sums in another order.
+        (20, 2000, 10, 1.0, "softmax", False, None),
+        (2, 200, 10, 1e-3, "argmax", False, "low"),
+        (2, 200, 100, 1e-3, "argmax", True, "low"),
+        (3, 200, 10, 200.0, "random", False, "high"),
+        (1, 150, 2, 200.0, "random", True, "high"),
+    ])
+    def test_fixed_cases(self, members, samples, classes, scale, labelling, binary32, edge):
+        temperature, _, _ = _assert_bit_identical(*_logit_case(
+            7, members, samples, classes, scale, labelling, binary32))
+        grid = temperature_grid()
+        if edge == "low":
+            assert temperature <= grid[1]
+        elif edge == "high":
+            assert temperature >= grid[-2]
+
+    def test_calibrated_fixture(self):
+        logits, labels = calibrated_fixture(n=2000)
+        members = np.stack([logits, 2.5 * logits, 0.4 * logits])
+        _assert_bit_identical(make_tensor(members, kind="logits"), labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e307, -1e307])
+    def test_non_finite_logits_rejected(self, bad):
+        logits = np.zeros((2, 4, 3))
+        logits[1, 2, 0] = bad
+        labels = np.zeros(4, dtype=int)
+        fits = [lambda: fit_temperature(logits[1], labels)]
+        if np.isfinite(bad):
+            # A tensor holds only finite logits, but +-1e307 overflows at
+            # T = 0.01, the first grid point, as the scalar search found.
+            tensor = make_tensor(logits, kind="logits")
+            fits += [lambda: fit_per_member(tensor, labels), lambda: fit_global(tensor, labels)]
+        for fit in fits:
+            with pytest.raises(ValueError, match="^softmax requires finite inputs$"):
+                fit()
+
+    def test_labels_mismatch_rejected(self):
+        logits = np.zeros((2, 5, 3))
+        tensor = make_tensor(logits, kind="logits")
+        message = r"^labels shape \(3,\) does not match 5 samples$"
+        for fit in (lambda: fit_temperature(logits[0], np.zeros(3, dtype=int)),
+                    lambda: fit_per_member(tensor, np.zeros(3, dtype=int)),
+                    lambda: fit_global(tensor, np.zeros(3, dtype=int))):
+            with pytest.raises(ValueError, match=message):
+                fit()
+
+    def test_global_rejects_probs(self, rng):
+        tensor = make_tensor(rng.dirichlet(np.ones(3), size=(2, 4)), kind="probs")
+        with pytest.raises(EptValidationError, match="logits"):
+            fit_global(tensor, np.zeros(4, dtype=int))

@@ -375,6 +375,53 @@ def test_memory_error_fails_cleanly(workdir, capsys, monkeypatch, error):
 
 
 # ---------------------------------------------------------------------------
+# One member has zero spread, so a subnormal eps overflows every SNR and gate
+# ratio to infinity: the output stays right and nothing reaches stderr.
+
+
+@pytest.fixture
+def one_member(tmp_path):
+    write_ept_file(probs_tensor(random_probs(np.random.default_rng(5), 1, 6, 3)),
+                   tmp_path / "one.ept")
+    (tmp_path / "labels.csv").write_text("0\n1\n2\n0\n1\n2\n")
+    return tmp_path
+
+
+def _run_subnormal_eps(*argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "uqgate.cli", *map(str, argv), "--epsilon", "5e-324"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    return result.stdout
+
+
+def test_subnormal_eps_report(one_member):
+    out = _run_subnormal_eps("report", "--input", one_member / "one.ept")
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert len(rows) == 6
+    for row in map(dict, (zip(header, row) for row in rows)):
+        assert row["snr"] == "inf" and row["decision"] != "uncertain"
+        # Every gate is 1, so the gated decomposition is the standard one.
+        assert [row[c] for c in ("tu_k1", "au_k1", "eu_k1")] == [row[c] for c in ("tu", "au", "eu")]
+
+
+def test_subnormal_eps_ood(one_member):
+    path = one_member / "one.ept"
+    auroc = json.loads(_run_subnormal_eps("ood", "--id", path, "--ood", path, "--measure", "all"))
+    assert len(auroc["auroc"]) == 10 and set(auroc["auroc"].values()) == {0.5}
+
+
+def test_subnormal_eps_coverage(one_member):
+    out = _run_subnormal_eps("coverage", "--input", one_member / "one.ept",
+                             "--labels", one_member / "labels.csv")
+    lines = out.splitlines()
+    assert lines[0] == "k,coverage,risk" and len(lines) > 1
+    assert all(line.split(",")[1] == "1" for line in lines[1:])
+
+
+# ---------------------------------------------------------------------------
 # The column-block table writer against the row-by-row one it replaced.
 
 
@@ -433,7 +480,6 @@ class TestEmitTable:
         assert (decisions == UNCERTAIN).any() and (decisions != UNCERTAIN).any()
         _assert_tables_match(_report_columns(data), 4, monkeypatch)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_infinite_snr(self, rng, monkeypatch):
         # One member has zero spread, so a subnormal eps makes every SNR infinite.
         columns = _report_columns(random_probs(rng, 1, 6, 3), eps=5e-324)
