@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from contextlib import contextmanager
@@ -35,12 +36,11 @@ from .ept import (
     write_ept_file,
     write_labels,
 )
-from .stats import ClassStats, Ensemble, member_probs, softmax_tensor
+from .stats import ClassStats, ensemble_blocks, softmax_tensor
 
 DEFAULT_K = 1.0
 DEFAULT_EPS = 1e-8
 
-EMIT_ROWS = 4096  # table rows formatted and written per block
 _INT_COLUMNS = ("sample", "decision", "correct", "epoch", "collapse")
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> json
 
@@ -73,6 +73,8 @@ def _parse_k_grid(text: str) -> list[float]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError("grid count must be >= 1")
+        gating.check_k(lo)
+        gating.check_k(hi)
         return list(np.linspace(lo, hi, count))
     return _parse_float_list(text)
 
@@ -104,29 +106,31 @@ def _require_multiclass(tensor: PredictionTensor, command: str) -> None:
 
 
 def _report_rows(tensor, labels, configs):
-    ens = Ensemble(member_probs(tensor))
-    std = measures.decompose(ens)
+    """The report's columns, one list of (name, values) per sample block."""
     eps = configs[0].epsilon
-    gmu, _ = margin.gmu_multiclass(ens.stats, eps=eps)
-    decisions = margin.decide_multiclass(ens.stats, k=configs[0].k, eps=eps)
+    for start, stop, ens in ensemble_blocks(tensor):
+        std = measures.decompose(ens)
+        gmu, _ = margin.gmu_multiclass(ens.stats, eps=eps)
+        decisions = margin.decide_multiclass(ens.stats, k=configs[0].k, eps=eps)
 
-    columns = [("sample", np.arange(ens.stats.samples))]
-    columns += [("tu", std.tu), ("au", std.au), ("eu", std.eu)]
-    for cfg in configs:
-        suffix = f"k{cfg.k:g}"
-        dec = gating.decompose_gated(ens, cfg)
-        columns += [(f"tu_{suffix}", dec.tu), (f"au_{suffix}", dec.au), (f"eu_{suffix}", dec.eu)]
-    columns += [
-        ("gmu", gmu),
-        ("snr", decisions.snr),
-        ("decision", decisions.decision),
-        ("epce", measures.pairwise_ce(ens)),
-        ("epkl", measures.pairwise_kl(ens)),
-        ("epjs", measures.pairwise_js(ens)),
-    ]
-    if labels is not None:
-        columns.append(("correct", (decisions.top1 == labels).astype(np.int64)))
-    return columns
+        columns = [("sample", np.arange(start, stop))]
+        columns += [("tu", std.tu), ("au", std.au), ("eu", std.eu)]
+        for cfg in configs:
+            suffix = f"k{cfg.k:g}"
+            dec = gating.decompose_gated(ens, cfg)
+            columns += [(f"tu_{suffix}", dec.tu), (f"au_{suffix}", dec.au),
+                        (f"eu_{suffix}", dec.eu)]
+        columns += [
+            ("gmu", gmu),
+            ("snr", decisions.snr),
+            ("decision", decisions.decision),
+            ("epce", measures.pairwise_ce(ens)),
+            ("epkl", measures.pairwise_kl(ens)),
+            ("epjs", measures.pairwise_js(ens)),
+        ]
+        if labels is not None:
+            columns.append(("correct", (decisions.top1 == labels[start:stop]).astype(np.int64)))
+        yield columns
 
 
 def _cells(name, values, fmt):
@@ -142,22 +146,30 @@ def _cells(name, values, fmt):
     return [undecided if v == margin.UNCERTAIN else str(v) for v in ints]
 
 
-def _emit_table(columns, fmt, out):
-    """Write CSV, or what ``json.dump(records, out, indent=2)`` writes, EMIT_ROWS rows a block."""
-    names = [name for name, _ in columns]
-    rows = len(columns[0][1])
+def _emit_table(blocks, fmt, out):
+    """Write CSV, or what ``json.dump(records, out, indent=2)`` writes, one block at a time.
+
+    ``blocks`` yields lists of (name, values) columns with the same names;
+    the first block sets the header.
+    """
+    blocks = iter(blocks)
+    first = next(blocks)
+    names = [name for name, _ in first]
     if fmt == "csv":
         out.write(",".join(names) + "\n")
-        record, sep = ",".join(["%s"] * len(names)) + "\n", ""
+        record, lead, sep = ",".join(["%s"] * len(names)) + "\n", "", ""
     else:
-        out.write("[\n" if rows else "[")
+        out.write("[")
         record = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in names) + "\n  }"
-        sep = ",\n"
-    for start in range(0, rows, EMIT_ROWS):
-        cells = [_cells(name, values[start:start + EMIT_ROWS], fmt) for name, values in columns]
-        out.write((sep if start else "") + sep.join([record % row for row in zip(*cells)]))
+        lead, sep = "\n", ",\n"
+    wrote = False
+    for columns in itertools.chain([first], blocks):
+        cells = [_cells(name, values, fmt) for name, values in columns]
+        if cells[0]:
+            out.write((sep if wrote else lead) + sep.join([record % row for row in zip(*cells)]))
+            wrote = True
     if fmt == "json":
-        out.write("\n]\n" if rows else "]\n")
+        out.write("\n]\n" if wrote else "]\n")
 
 
 def cmd_report(args) -> int:
@@ -169,9 +181,8 @@ def cmd_report(args) -> int:
     labels = None
     if args.labels:
         labels = read_labels_file(args.labels, tensor.manifest)
-    columns = _report_rows(tensor, labels, configs)
     with _open_output(args.output) as out:
-        _emit_table(columns, args.format, out)
+        _emit_table(_report_rows(tensor, labels, configs), args.format, out)
     return 0
 
 
@@ -180,13 +191,13 @@ def cmd_report(args) -> int:
 
 
 def cmd_diversity(args) -> int:
-    snapshots = [_load_probs(path) for path in args.inputs]
-    series = diagnostics.collapse_epoch(snapshots, tau=args.tau)
+    # A generator, so one snapshot is in memory at a time.
+    series = diagnostics.collapse_epoch(map(_load_probs, args.inputs), tau=args.tau)
     with _open_output(args.output) as out:
         if args.format == "csv":
             collapse = series.epochs == series.collapse_epoch  # all False when None
-            _emit_table([("epoch", series.epochs), ("diversity", series.values),
-                         ("collapse", collapse)], "csv", out)
+            _emit_table([[("epoch", series.epochs), ("diversity", series.values),
+                          ("collapse", collapse)]], "csv", out)
         else:
             json.dump(
                 {
@@ -258,18 +269,24 @@ def cmd_calibrate(args) -> int:
 
 
 def _ood_scores(tensor: PredictionTensor, names, k: float, eps: float) -> list[np.ndarray]:
-    """The named scores of one file, all read from one view of it."""
-    ens = Ensemble(member_probs(tensor))
-    gated = functools.cache(
-        lambda: gating.decompose_gated(ens, gating.GateConfig(k=k, epsilon=eps)))
+    """The named scores of one file, computed one sample block at a time."""
+    cfg = gating.GateConfig(k=k, epsilon=eps)
+    blocks = [_block_scores(ens, names, cfg) for _, _, ens in ensemble_blocks(tensor)]
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
+def _block_scores(ens, names, cfg: gating.GateConfig) -> list[np.ndarray]:
+    """The named scores of one block, all read from its view."""
+    std = functools.cache(lambda: measures.decompose(ens))
+    gated = functools.cache(lambda: gating.decompose_gated(ens, cfg))
     score = {
-        "tu": lambda: measures.decompose(ens).tu,
-        "au": lambda: measures.decompose(ens).au,
-        "eu": lambda: measures.decompose(ens).eu,
+        "tu": lambda: std().tu,
+        "au": lambda: std().au,
+        "eu": lambda: std().eu,
         "epce": lambda: measures.pairwise_ce(ens),
         "epkl": lambda: measures.pairwise_kl(ens),
         "epjs": lambda: measures.pairwise_js(ens),
-        "gmu": lambda: margin.gmu_multiclass(ens.stats, eps=eps)[0],
+        "gmu": lambda: margin.gmu_multiclass(ens.stats, eps=cfg.epsilon)[0],
         "gated_tu": lambda: gated().tu,
         "gated_au": lambda: gated().au,
         "gated_eu": lambda: gated().eu,
@@ -321,7 +338,7 @@ def cmd_synth(args) -> int:
         print(f"wrote {args.out}_probs.ept, {args.out}_logits.ept, {args.out}_labels.csv",
               file=sys.stderr)
     else:
-        for epoch, tensor in synth.generate_collapse_series(cfg):
+        for epoch, tensor in synth._collapse_epochs(cfg):  # one epoch in memory at a time
             write_ept_file(tensor, f"{args.out}_epoch{epoch:03d}.ept")
         print(f"wrote {cfg.epochs} epoch files under prefix {args.out}", file=sys.stderr)
     return 0

@@ -9,8 +9,8 @@ EPKL, EPJS) vanishes and the gate sensitivity k stops mattering.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,29 +47,33 @@ def diversity(tensor: PredictionTensor) -> float:
 
 
 def collapse_epoch(
-    snapshots: Sequence[PredictionTensor], tau: float = 1e-3
+    snapshots: Iterable[PredictionTensor], tau: float = 1e-3
 ) -> DiversitySeries:
     """Diversity per snapshot plus the first epoch with diversity < tau.
 
     Epochs come from the manifests (falling back to list position) and must
-    be strictly increasing; all snapshots must share (N, C).
+    be strictly increasing; all snapshots must share (N, C). Snapshots are
+    read one at a time, so a generator keeps one of them in memory.
     """
-    if not snapshots:
-        raise ValueError("need at least one snapshot")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    shape = (snapshots[0].manifest.samples, snapshots[0].manifest.classes)
+    shape = None
     epochs = []
     values = []
     for position, tensor in enumerate(snapshots):
-        if (tensor.manifest.samples, tensor.manifest.classes) != shape:
+        found = (tensor.manifest.samples, tensor.manifest.classes)
+        if shape is None:
+            # Checked here, not before the loop: no snapshot at all is the first error.
+            if not tau > 0:
+                raise ValueError(f"tau must be positive, got {tau}")
+            shape = found
+        elif found != shape:
             raise EptValidationError(
-                f"snapshot {position} has shape "
-                f"{(tensor.manifest.samples, tensor.manifest.classes)}, expected {shape}"
+                f"snapshot {position} has shape {found}, expected {shape}"
             )
         epoch = tensor.manifest.epoch
         epochs.append(position if epoch is None else epoch)
         values.append(diversity(tensor))
+    if shape is None:
+        raise ValueError("need at least one snapshot")
     epochs = np.asarray(epochs, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     if len(epochs) > 1 and not (np.diff(epochs) > 0).all():

@@ -15,6 +15,7 @@ term non-negative by entropy concavity).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,9 +42,12 @@ class GateConfig:
 
 
 def check_k(k: float) -> None:
-    """The one gate-sensitivity rule, shared by GateConfig, the margin rules and the CLI: k > 0."""
-    if not k > 0:
-        raise ValueError(f"k must be positive, got {k}")
+    """The one gate-sensitivity rule, shared by GateConfig, the margin rules and the CLI.
+
+    0 < k < inf: an infinite k turns a zero spread into inf * 0 = NaN gates.
+    """
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
 
 
 def check_epsilon(epsilon: float) -> None:

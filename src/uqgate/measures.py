@@ -18,9 +18,7 @@ import numpy as np
 
 from .ept import PredictionTensor
 from .gating import Decomposition
-from .stats import Ensemble, entropy, member_probs
-
-JS_BLOCK = 1024  # samples per EPJS block; bounds its (M, M, B) and (M, B, C) arrays
+from .stats import Ensemble, entropy, member_probs, sample_blocks
 
 
 def decompose(ens: Ensemble) -> Decomposition:
@@ -50,14 +48,13 @@ def pairwise_js(ens: Ensemble) -> np.ndarray:
     JS(p, q) = H((p + q) / 2) - (H(p) + H(q)) / 2; bounded by ln 2. The mean
     still covers all M^2 ordered pairs, but each unordered pair's mixture
     entropy (H_ij = H_ji bit for bit: IEEE addition commutes) is computed
-    once, over blocks of JS_BLOCK samples, and summed in ordered-pair order.
+    once, over the sample blocks of :func:`~uqgate.stats.sample_blocks` (which
+    bound its (M, M, B) and (M, B, C) arrays), and summed in ordered-pair order.
     """
     probs = ens.probs
     m, n, _ = probs.shape
     mix_h_total = np.empty(n)
-    # No 1-sample last block: numpy would sum its M terms pairwise, not in order.
-    bounds = [0, *range(JS_BLOCK, n - 1, JS_BLOCK), n]
-    for start, stop in zip(bounds, bounds[1:]):
+    for start, stop in sample_blocks(n):
         block = probs[:, start:stop]
         h = np.empty((m, m, block.shape[1]))  # h[i, j] = H((p_i + p_j) / 2)
         for i in range(m):

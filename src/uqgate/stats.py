@@ -8,6 +8,7 @@ the decomposition identities exact without conversion factors.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +19,9 @@ from .ept import EptValidationError, PredictionTensor, make_tensor
 # Clamp applied inside logarithms only: perturbs entropy by < 3e-11 nats per
 # class while keeping one-hot rows finite.
 LOG_CLAMP = 1e-12
+
+# Samples per block of a blocked evaluation: bounds every (M, B, C) intermediate.
+SAMPLE_BLOCK = 1024
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -46,15 +50,37 @@ def entropy(dist: np.ndarray, axis: int = -1) -> np.ndarray:
     return -terms.sum(axis=axis)
 
 
-def member_probs(tensor: PredictionTensor) -> np.ndarray:
+def member_probs(tensor: PredictionTensor, samples: slice = slice(None)) -> np.ndarray:
     """Member probabilities as a float64 (M, N, C) array, clipped to [0, 1].
 
     The container allows a 1e-6 slack on stored probabilities (binary32
-    rounding); analysis code works on the clipped values.
+    rounding); analysis code works on the clipped values. ``samples`` picks
+    a block of samples; only that block is copied.
     """
     if tensor.manifest.kind != "probs":
         raise EptValidationError("operation requires kind=probs; softmax logits first")
-    return np.clip(tensor.data.astype(np.float64, copy=False), 0.0, 1.0)
+    return np.clip(tensor.data[:, samples].astype(np.float64, copy=False), 0.0, 1.0)
+
+
+def sample_blocks(n: int) -> list[tuple[int, int]]:
+    """[start, stop) bounds of consecutive blocks of SAMPLE_BLOCK samples covering n.
+
+    The last block takes a lone leftover sample, so no block has one sample
+    unless n = 1: numpy sums a lone sample's member terms pairwise, not in
+    order, so such a block would change the last bits of member means.
+    """
+    bounds = [0, *range(SAMPLE_BLOCK, n - 1, SAMPLE_BLOCK), n]
+    return list(zip(bounds, bounds[1:]))
+
+
+def ensemble_blocks(tensor: PredictionTensor) -> Iterator[tuple[int, int, Ensemble]]:
+    """One :class:`Ensemble` view per sample block, with its [start, stop) bounds.
+
+    Every per-sample measure of a block's view is bit-identical to the same
+    samples of the whole tensor's view.
+    """
+    for start, stop in sample_blocks(tensor.manifest.samples):
+        yield start, stop, Ensemble(member_probs(tensor, slice(start, stop)))
 
 
 def softmax_tensor(tensor: PredictionTensor) -> PredictionTensor:

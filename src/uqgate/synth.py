@@ -17,6 +17,7 @@ and identical configurations yield bit-identical tensors on any machine.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,15 +111,16 @@ def generate_collapse_series(cfg: SynthConfig) -> list[tuple[int, PredictionTens
     Epoch 0 is bit-identical to the static draw at the same seed and
     s_noise; later epochs use fresh noise draws at the decayed scale.
     """
+    return list(_collapse_epochs(cfg))
+
+
+def _collapse_epochs(cfg: SynthConfig) -> Iterator[tuple[int, PredictionTensor]]:
+    """The (epoch, tensor) pairs of :func:`generate_collapse_series`, one at a time."""
     cfg.validate()
     if cfg.mode != "collapse":
         raise ValueError("generate_collapse_series requires mode='collapse'")
     z = _true_logits(cfg)
-    series = []
     for epoch in range(cfg.epochs):
         scale = cfg.s_noise * float(np.exp(-cfg.decay * epoch))
         probs = softmax(_member_logits(cfg, z, scale, epoch))
-        series.append(
-            (epoch, make_tensor(probs, kind="probs", precision="binary64", epoch=epoch))
-        )
-    return series
+        yield epoch, make_tensor(probs, kind="probs", precision="binary64", epoch=epoch)

@@ -2,16 +2,22 @@
 
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from uqgate import UNCERTAIN, GateConfig, SynthConfig, cli, generate, make_tensor, write_ept_file
+from uqgate import (
+    UNCERTAIN, GateConfig, SynthConfig, cli, gating, generate, generate_collapse_series,
+    make_tensor, margin, measures, softmax, stats, synth, write_ept_file,
+)
 from uqgate.cli import main
 from uqgate.ept import write_labels
+from uqgate.stats import Ensemble, member_probs
 
 from conftest import probs_tensor, random_probs
 
@@ -285,6 +291,26 @@ class TestSynthCommand:
         files = sorted(tmp_path.glob("col_epoch*.ept"))
         assert len(files) == 4
 
+    def test_collapse_epochs_written_as_generated(self, tmp_path, capsys, monkeypatch):
+        cfg = SynthConfig(samples=8, classes=3, members=2, seed=5, mode="collapse",
+                          epochs=4, decay=1.0)
+        events = []
+        monkeypatch.setattr(synth, "softmax", lambda x: events.append("draw") or softmax(x))
+        monkeypatch.setattr(cli, "write_ept_file",
+                            lambda t, path: events.append("write") or write_ept_file(t, path))
+        code, _, _ = run(
+            capsys, "synth", "--samples", 8, "--classes", 3, "--members", 2,
+            "--mode", "collapse", "--epochs", 4, "--decay", 1.0,
+            "--seed", 5, "--out", tmp_path / "col",
+        )
+        assert code == 0
+        assert events == ["draw", "write"] * 4  # one epoch in memory at a time
+        monkeypatch.undo()
+        for epoch, tensor in generate_collapse_series(cfg):
+            write_ept_file(tensor, tmp_path / "ref.ept")
+            assert ((tmp_path / f"col_epoch{epoch:03d}.ept").read_bytes()
+                    == (tmp_path / "ref.ept").read_bytes())
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         for prefix in ("a", "b"):
             run(
@@ -454,14 +480,17 @@ def _reference_emit_table(columns, fmt, out):
 
 def _report_columns(data, eps=1e-8, labels=None):
     configs = [GateConfig(k=k, epsilon=eps) for k in (0.5, 1.0, 2.0)]
-    return cli._report_rows(probs_tensor(data), labels, configs)
+    [columns] = cli._report_rows(probs_tensor(data), labels, configs)  # N < SAMPLE_BLOCK
+    return columns
 
 
 def _assert_tables_match(columns, rows_per_block, monkeypatch):
-    monkeypatch.setattr(cli, "EMIT_ROWS", rows_per_block)
+    monkeypatch.setattr(stats, "SAMPLE_BLOCK", rows_per_block)
+    blocks = [[(name, values[start:stop]) for name, values in columns]
+              for start, stop in stats.sample_blocks(len(columns[0][1]))]
     for fmt in ("csv", "json"):
         got, ref = io.StringIO(), io.StringIO()
-        cli._emit_table(columns, fmt, got)
+        cli._emit_table(blocks, fmt, got)
         _reference_emit_table(columns, fmt, ref)
         assert got.getvalue() == ref.getvalue()
 
@@ -501,3 +530,121 @@ class TestEmitTable:
     def test_no_rows(self, monkeypatch):
         columns = [("epoch", np.arange(0)), ("diversity", np.zeros(0))]
         _assert_tables_match(columns, 4, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# The report and ood scores in sample blocks against the whole-tensor
+# computation they replaced (_whole_report_columns), at block size 4.
+
+
+def _whole_report_columns(tensor, labels, configs):
+    ens = Ensemble(member_probs(tensor))
+    std = measures.decompose(ens)
+    eps = configs[0].epsilon
+    gmu, _ = margin.gmu_multiclass(ens.stats, eps=eps)
+    decisions = margin.decide_multiclass(ens.stats, k=configs[0].k, eps=eps)
+
+    columns = [("sample", np.arange(ens.stats.samples))]
+    columns += [("tu", std.tu), ("au", std.au), ("eu", std.eu)]
+    for cfg in configs:
+        suffix = f"k{cfg.k:g}"
+        dec = gating.decompose_gated(ens, cfg)
+        columns += [(f"tu_{suffix}", dec.tu), (f"au_{suffix}", dec.au), (f"eu_{suffix}", dec.eu)]
+    columns += [
+        ("gmu", gmu),
+        ("snr", decisions.snr),
+        ("decision", decisions.decision),
+        ("epce", measures.pairwise_ce(ens)),
+        ("epkl", measures.pairwise_kl(ens)),
+        ("epjs", measures.pairwise_js(ens)),
+    ]
+    if labels is not None:
+        columns.append(("correct", (decisions.top1 == labels).astype(np.int64)))
+    return columns
+
+
+def _assert_blocked_report_matches(tensor, labels, eps, monkeypatch):
+    configs = [GateConfig(k=k, epsilon=eps) for k in (0.5, 1.0, 2.0)]
+    ref_columns = _whole_report_columns(tensor, labels, configs)
+    monkeypatch.setattr(stats, "SAMPLE_BLOCK", 4)
+    for fmt in ("csv", "json"):  # JSON cells are repr: every bit of every float
+        got, ref = io.StringIO(), io.StringIO()
+        cli._emit_table(cli._report_rows(tensor, labels, configs), fmt, got)
+        cli._emit_table([ref_columns], fmt, ref)
+        assert got.getvalue() == ref.getvalue()
+    return dict(ref_columns)
+
+
+class TestReportBlocks:
+    @pytest.mark.parametrize("precision", [np.float64, np.float32])
+    @pytest.mark.parametrize("members", [1, 9, 12])  # from 8, numpy may sum pairwise
+    @pytest.mark.parametrize("samples", [1, 3, 4, 5, 8, 9, 13])
+    def test_byte_identical_to_whole_tensor(self, rng, monkeypatch, precision, members,
+                                            samples):
+        data = random_probs(rng, members, samples, 4)
+        data[:, 1::3] = [0.9, 0.05, 0.03, 0.02]  # members agree: decided rows
+        tensor = make_tensor(data.astype(precision), kind="probs")
+        labels = rng.integers(0, 4, size=samples)
+        decision = _assert_blocked_report_matches(tensor, labels, 1e-8, monkeypatch)["decision"]
+        if members > 1:
+            assert (decision == UNCERTAIN).any()
+        if samples > 1:
+            assert (decision != UNCERTAIN).any()
+
+    @pytest.mark.parametrize("samples", [1, 5, 13])
+    def test_one_member_subnormal_eps(self, rng, monkeypatch, samples):
+        tensor = probs_tensor(random_probs(rng, 1, samples, 3))
+        snr = _assert_blocked_report_matches(tensor, None, 5e-324, monkeypatch)["snr"]
+        assert np.isinf(snr).all()
+
+    @pytest.mark.parametrize("members", [1, 9, 12])
+    @pytest.mark.parametrize("samples", [1, 5, 13])
+    def test_ood_scores_identical_to_one_block(self, rng, monkeypatch, members, samples):
+        tensor = probs_tensor(random_probs(rng, members, samples, 4))
+        whole = cli._ood_scores(tensor, cli.OOD_MEASURES, 1.0, 1e-8)  # N < SAMPLE_BLOCK
+        monkeypatch.setattr(stats, "SAMPLE_BLOCK", 4)
+        blocked = cli._ood_scores(tensor, cli.OOD_MEASURES, 1.0, 1e-8)
+        for got, ref in zip(blocked, whole, strict=True):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_memory_beyond_the_payload_does_not_grow_with_samples(self, monkeypatch):
+        monkeypatch.setattr(stats, "SAMPLE_BLOCK", 128)
+        configs = [GateConfig(k=k) for k in (0.5, 1.0, 2.0, 4.0)]
+
+        def traced_peak(blocks):
+            # The payload is allocated before tracing starts, so the peak excludes it.
+            tensor = probs_tensor(random_probs(np.random.default_rng(0), 16, 128 * blocks, 32))
+            with open(os.devnull, "w") as sink:
+                tracemalloc.start()
+                try:
+                    cli._emit_table(cli._report_rows(tensor, None, configs), "csv", sink)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        # One (16, 128, 32) float64 block is 512 KiB; the whole-tensor report
+        # grew by several payloads (6 blocks each) between these sizes.
+        assert traced_peak(8) - traced_peak(2) < 64 * 1024
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--input", "{dir}/one.ept", "--k", "inf"),
+    ("report", "--input", "{dir}/one.ept", "--k", "1,inf"),
+    ("ood", "--id", "{dir}/one.ept", "--ood", "{dir}/one.ept", "--k", "inf"),
+    ("coverage", "--input", "{dir}/one.ept", "--labels", "{dir}/labels.csv",
+     "--k-grid", "1:inf:3"),
+    ("coverage", "--input", "{dir}/one.ept", "--labels", "{dir}/labels.csv",
+     "--k-grid=-inf:1:3"),
+    ("coverage", "--input", "{dir}/one.ept", "--labels", "{dir}/labels.csv",
+     "--k-grid", "0.5,inf"),
+])
+def test_infinite_k_is_rejected(one_member, argv):
+    # Run as a subprocess so that a numpy warning would show on stderr.
+    result = subprocess.run(
+        [sys.executable, "-m", "uqgate.cli", *(a.format(dir=one_member) for a in argv)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: k must be positive and finite")

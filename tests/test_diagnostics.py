@@ -1,5 +1,7 @@
 """Diversity, collapse detection, coverage/risk, AUROC, ECE."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,30 @@ class TestCollapseEpoch:
         b = probs_tensor(random_probs(rng, 2, 5, 3), epoch=1)
         with pytest.raises(EptValidationError, match="shape"):
             collapse_epoch([a, b])
+
+    def test_generator_keeps_one_snapshot_in_memory(self, rng):
+        data = [t.data for t in self.snapshots_with_diversity(rng, [0.2, 0.05, 0.0005, 1e-4])]
+        expected = collapse_epoch(
+            [probs_tensor(values, epoch=e + 1) for e, values in enumerate(data)], tau=1e-3)
+        made = []
+
+        def stream():
+            for epoch, values in enumerate(data):
+                # Every snapshot before the one being read has been released.
+                assert all(ref() is None for ref in made[:-1])
+                tensor = probs_tensor(values, epoch=epoch + 1)
+                made.append(weakref.ref(tensor))
+                yield tensor
+
+        series = collapse_epoch(stream(), tau=1e-3)
+        assert len(made) == 4
+        assert series.collapse_epoch == expected.collapse_epoch == 3
+        assert np.array_equal(series.epochs, expected.epochs)
+        assert np.array_equal(series.values, expected.values)
+
+    def test_empty_generator_rejected(self):
+        with pytest.raises(ValueError, match="need at least one snapshot"):
+            collapse_epoch(iter([]), tau=-1.0)
 
     def test_synthetic_decay_crossing(self):
         # Calibrate the noise-to-diversity ratio in the linear regime, then

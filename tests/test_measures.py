@@ -18,7 +18,7 @@ from uqgate import (
     make_tensor,
     standard_decomposition,
 )
-from uqgate import measures
+from uqgate import stats
 from uqgate.gating import decompose_gated
 from uqgate.measures import decompose, pairwise_ce, pairwise_js, pairwise_kl
 from uqgate.stats import member_probs
@@ -300,7 +300,7 @@ def _js_cases(draw):
 def _assert_blocked_js_matches(tensor, block):
     ens = Ensemble(member_probs(tensor))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measures, "JS_BLOCK", block)
+        patch.setattr(stats, "SAMPLE_BLOCK", block)
         got = pairwise_js(ens)
     ref = _ref_epjs(tensor)
     assert np.array_equal(got, ref)
@@ -325,5 +325,5 @@ class TestBlockedEpjs:
             _assert_blocked_js_matches(tensor, 4)
 
     def test_default_block_on_a_larger_tensor(self, rng):
-        tensor = probs_tensor(random_probs(rng, 12, 2 * measures.JS_BLOCK + 1, 4))
-        _assert_blocked_js_matches(tensor, measures.JS_BLOCK)
+        tensor = probs_tensor(random_probs(rng, 12, 2 * stats.SAMPLE_BLOCK + 1, 4))
+        _assert_blocked_js_matches(tensor, stats.SAMPLE_BLOCK)
