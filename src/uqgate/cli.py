@@ -36,7 +36,7 @@ from .ept import (
     write_ept_file,
     write_labels,
 )
-from .stats import ClassStats, ensemble_blocks, softmax_tensor
+from .stats import ClassStats, ensemble_blocks
 
 DEFAULT_K = 1.0
 DEFAULT_EPS = 1e-8
@@ -88,11 +88,11 @@ def _open_output(path: str | None):
             yield handle
 
 
-def _load_probs(path: str) -> PredictionTensor:
+def _read_input(path: str) -> PredictionTensor:
+    """Read one file to analyse; the analysis softmaxes logits one sample block at a time."""
     tensor = read_ept_file(path)
     if tensor.manifest.kind == "logits":
         print(f"note: {path} contains logits; applying softmax", file=sys.stderr)
-        tensor = softmax_tensor(tensor)
     return tensor
 
 
@@ -116,7 +116,7 @@ def _report_rows(tensor, labels, configs):
         columns = [("sample", np.arange(start, stop))]
         columns += [("tu", std.tu), ("au", std.au), ("eu", std.eu)]
         for cfg in configs:
-            suffix = f"k{cfg.k:g}"
+            suffix = _k_suffix(cfg.k)
             dec = gating.decompose_gated(ens, cfg)
             columns += [(f"tu_{suffix}", dec.tu), (f"au_{suffix}", dec.au),
                         (f"eu_{suffix}", dec.eu)]
@@ -131,6 +131,11 @@ def _report_rows(tensor, labels, configs):
         if labels is not None:
             columns.append(("correct", (decisions.top1 == labels[start:stop]).astype(np.int64)))
         yield columns
+
+
+def _k_suffix(k: float) -> str:
+    """The suffix of the gated columns for sensitivity k: tu_k1, au_k1, eu_k1 for k = 1."""
+    return f"k{k:g}"
 
 
 def _cells(name, values, fmt):
@@ -176,7 +181,13 @@ def cmd_report(args) -> int:
     # GateConfig applies gating.check_k and gating.check_epsilon before any input is read.
     k_values = list(dict.fromkeys(_parse_float_list(args.k)))
     configs = [gating.GateConfig(k=k, epsilon=args.epsilon) for k in k_values]
-    tensor = _load_probs(args.input)
+    named = {}
+    for k in k_values:
+        suffix = _k_suffix(k)
+        if named.setdefault(suffix, k) != k:
+            raise ValueError(f"k values {named[suffix]!r} and {k!r} both name the columns "
+                             f"tu_{suffix}, au_{suffix} and eu_{suffix}")
+    tensor = _read_input(args.input)
     _require_multiclass(tensor, "report")
     labels = None
     if args.labels:
@@ -192,7 +203,7 @@ def cmd_report(args) -> int:
 
 def cmd_diversity(args) -> int:
     # A generator, so one snapshot is in memory at a time.
-    series = diagnostics.collapse_epoch(map(_load_probs, args.inputs), tau=args.tau)
+    series = diagnostics.collapse_epoch(map(_read_input, args.inputs), tau=args.tau)
     with _open_output(args.output) as out:
         if args.format == "csv":
             collapse = series.epochs == series.collapse_epoch  # all False when None
@@ -222,7 +233,7 @@ def cmd_coverage(args) -> int:
     for k in k_grid:
         gating.check_k(k)
     gating.check_epsilon(args.epsilon)
-    tensor = _load_probs(args.input)
+    tensor = _read_input(args.input)
     _require_multiclass(tensor, "coverage")
     labels = read_labels_file(args.labels, tensor.manifest)
     stats = ClassStats.from_tensor(tensor)
@@ -243,6 +254,7 @@ def cmd_calibrate(args) -> int:
     tensor = read_ept_file(args.input)
     if tensor.manifest.kind != "logits":
         raise ValueError("calibration requires a logits tensor (kind=logits)")
+    _require_multiclass(tensor, "calibrate")
     labels = read_labels_file(args.labels, tensor.manifest)
     if args.per_member:
         fit = calibration.fit_per_member(tensor, labels)
@@ -270,6 +282,7 @@ def cmd_calibrate(args) -> int:
 
 def _ood_scores(tensor: PredictionTensor, names, k: float, eps: float) -> list[np.ndarray]:
     """The named scores of one file, computed one sample block at a time."""
+    _require_multiclass(tensor, "ood")
     cfg = gating.GateConfig(k=k, epsilon=eps)
     blocks = [_block_scores(ens, names, cfg) for _, _, ens in ensemble_blocks(tensor)]
     return [np.concatenate(column) for column in zip(*blocks)]
@@ -300,12 +313,9 @@ def cmd_ood(args) -> int:
     if args.measure not in (*OOD_MEASURES, "all"):
         raise ValueError(f"unknown measure {args.measure!r}; choose from {OOD_MEASURES} or 'all'")
     names = OOD_MEASURES if args.measure == "all" else (args.measure,)
-    id_tensor = _load_probs(args.id)
-    ood_tensor = _load_probs(args.ood)
-    _require_multiclass(id_tensor, "ood")
-    _require_multiclass(ood_tensor, "ood")
-    neg = _ood_scores(id_tensor, names, args.k, args.epsilon)
-    pos = _ood_scores(ood_tensor, names, args.k, args.epsilon)
+    # One payload at a time: the ID file is scored, and dropped, before the OOD file is read.
+    neg = _ood_scores(_read_input(args.id), names, args.k, args.epsilon)
+    pos = _ood_scores(_read_input(args.ood), names, args.k, args.epsilon)
     scores = {name: diagnostics.auroc(n, p) for name, n, p in zip(names, neg, pos)}
     with _open_output(args.output) as out:
         json.dump({"k": args.k, "auroc": scores}, out, indent=2)

@@ -46,6 +46,12 @@ def diversity(tensor: PredictionTensor) -> float:
     return float(ClassStats.from_tensor(tensor).sigma.mean())
 
 
+def _summary(tensor: PredictionTensor) -> tuple[tuple[int, int], int | None, float]:
+    """What :func:`collapse_epoch` keeps of a snapshot: (N, C), epoch, diversity."""
+    manifest = tensor.manifest
+    return (manifest.samples, manifest.classes), manifest.epoch, diversity(tensor)
+
+
 def collapse_epoch(
     snapshots: Iterable[PredictionTensor], tau: float = 1e-3
 ) -> DiversitySeries:
@@ -53,13 +59,13 @@ def collapse_epoch(
 
     Epochs come from the manifests (falling back to list position) and must
     be strictly increasing; all snapshots must share (N, C). Snapshots are
-    read one at a time, so a generator keeps one of them in memory.
+    read one at a time, so a generator keeps one of them in memory: each is
+    summarised, and dropped, before the next is read.
     """
     shape = None
     epochs = []
     values = []
-    for position, tensor in enumerate(snapshots):
-        found = (tensor.manifest.samples, tensor.manifest.classes)
+    for position, (found, epoch, value) in enumerate(map(_summary, snapshots)):
         if shape is None:
             # Checked here, not before the loop: no snapshot at all is the first error.
             if not tau > 0:
@@ -69,9 +75,8 @@ def collapse_epoch(
             raise EptValidationError(
                 f"snapshot {position} has shape {found}, expected {shape}"
             )
-        epoch = tensor.manifest.epoch
         epochs.append(position if epoch is None else epoch)
-        values.append(diversity(tensor))
+        values.append(value)
     if shape is None:
         raise ValueError("need at least one snapshot")
     epochs = np.asarray(epochs, dtype=np.int64)

@@ -114,7 +114,7 @@ class EptManifest:
     def from_json(cls, text: str) -> "EptManifest":
         try:
             fields = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise EptFormatError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(fields, dict):
             raise EptFormatError("manifest must be a JSON object")

@@ -123,12 +123,12 @@ def decompose_gated(ens: Ensemble, cfg: GateConfig) -> Decomposition:
 
 
 def gated_members(tensor: PredictionTensor, cfg: GateConfig) -> GatedEnsemble:
-    """Gate and renormalize every member row of a multiclass probs tensor."""
+    """Gate and renormalize every member row of a multiclass probs or logits tensor."""
     return gate_ensemble(_multiclass_view(tensor), cfg)
 
 
 def gated_decomposition(tensor: PredictionTensor, cfg: GateConfig) -> Decomposition:
-    """Gated TU/AU/EU per sample of a multiclass probs tensor (see :func:`decompose_gated`)."""
+    """Gated TU/AU/EU of a multiclass probs or logits tensor (see :func:`decompose_gated`)."""
     return decompose_gated(_multiclass_view(tensor), cfg)
 
 

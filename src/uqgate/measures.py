@@ -68,20 +68,20 @@ def pairwise_js(ens: Ensemble) -> np.ndarray:
 
 
 def standard_decomposition(tensor: PredictionTensor) -> Decomposition:
-    """Ungated TU/AU/EU of a probs tensor (see :func:`decompose`)."""
+    """Ungated TU/AU/EU of a probs or logits tensor (see :func:`decompose`)."""
     return decompose(Ensemble(member_probs(tensor)))
 
 
 def epce(tensor: PredictionTensor) -> np.ndarray:
-    """EPCE per sample of a probs tensor (see :func:`pairwise_ce`)."""
+    """EPCE per sample of a probs or logits tensor (see :func:`pairwise_ce`)."""
     return pairwise_ce(Ensemble(member_probs(tensor)))
 
 
 def epkl(tensor: PredictionTensor) -> np.ndarray:
-    """EPKL per sample of a probs tensor (see :func:`pairwise_kl`)."""
+    """EPKL per sample of a probs or logits tensor (see :func:`pairwise_kl`)."""
     return pairwise_kl(Ensemble(member_probs(tensor)))
 
 
 def epjs(tensor: PredictionTensor) -> np.ndarray:
-    """EPJS per sample of a probs tensor (see :func:`pairwise_js`)."""
+    """EPJS per sample of a probs or logits tensor (see :func:`pairwise_js`)."""
     return pairwise_js(Ensemble(member_probs(tensor)))

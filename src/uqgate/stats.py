@@ -51,15 +51,18 @@ def entropy(dist: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def member_probs(tensor: PredictionTensor, samples: slice = slice(None)) -> np.ndarray:
-    """Member probabilities as a float64 (M, N, C) array, clipped to [0, 1].
+    """Member probabilities of a probs or logits tensor as a float64 (M, N, C) array.
 
-    The container allows a 1e-6 slack on stored probabilities (binary32
-    rounding); analysis code works on the clipped values. ``samples`` picks
-    a block of samples; only that block is copied.
+    This is the one place stored values become probabilities. Logits are
+    softmaxed row by row. Stored probabilities are clipped to [0, 1]: the
+    container allows a 1e-6 slack on them (binary32 rounding), and analysis
+    code works on the clipped values. ``samples`` picks a block of samples;
+    only that block is copied.
     """
-    if tensor.manifest.kind != "probs":
-        raise EptValidationError("operation requires kind=probs; softmax logits first")
-    return np.clip(tensor.data[:, samples].astype(np.float64, copy=False), 0.0, 1.0)
+    values = tensor.data[:, samples].astype(np.float64, copy=False)
+    if tensor.manifest.kind == "logits":
+        return softmax(values)  # lies in [0, 1] already: nothing to clip
+    return np.clip(values, 0.0, 1.0)
 
 
 def sample_blocks(n: int) -> list[tuple[int, int]]:
@@ -87,9 +90,8 @@ def softmax_tensor(tensor: PredictionTensor) -> PredictionTensor:
     """Convert a logits tensor to a binary64 probs tensor via row softmax."""
     if tensor.manifest.kind != "logits":
         raise EptValidationError("softmax_tensor expects kind=logits")
-    probs = softmax(tensor.data.astype(np.float64, copy=False), axis=-1)
     return make_tensor(
-        probs,
+        member_probs(tensor),
         kind="probs",
         task=tensor.manifest.task,
         precision="binary64",
@@ -110,7 +112,10 @@ class ClassStats:
 
     @classmethod
     def from_tensor(cls, tensor: PredictionTensor) -> "ClassStats":
-        return Ensemble(member_probs(tensor)).stats
+        """Moments of a probs or logits tensor, computed one sample block at a time."""
+        blocks = [ens.stats for _, _, ens in ensemble_blocks(tensor)]
+        return cls(mu=np.concatenate([block.mu for block in blocks]),
+                   sigma=np.concatenate([block.sigma for block in blocks]))
 
     @property
     def samples(self) -> int:
@@ -130,7 +135,7 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """One tensor's clipped member probabilities and the quantities all measures share.
+    """One tensor's member probabilities and the quantities all measures share.
 
     Build it once per tensor from :func:`member_probs`. Each derived array is
     computed on first use and kept; no (M, N, C) intermediate is kept.

@@ -17,6 +17,7 @@ and identical configurations yield bit-identical tensors on any machine.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -50,17 +51,17 @@ class SynthConfig:
                 f"need samples >= 1, classes >= 2, members >= 1; got "
                 f"({self.samples}, {self.classes}, {self.members})"
             )
-        if not self.s_signal > 0:
-            raise ValueError(f"s_signal must be positive, got {self.s_signal}")
-        if self.s_noise < 0:
-            raise ValueError(f"s_noise must be non-negative, got {self.s_noise}")
+        if not 0 < self.s_signal < math.inf:
+            raise ValueError(f"s_signal must be positive and finite, got {self.s_signal}")
+        if not 0 <= self.s_noise < math.inf:
+            raise ValueError(f"s_noise must be non-negative and finite, got {self.s_noise}")
         if self.seed < 0 or self.seed > 2**64 - 1:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.mode not in ("static", "collapse"):
             raise ValueError(f"mode must be 'static' or 'collapse', got {self.mode!r}")
-        if self.mode == "collapse" and (self.epochs < 1 or not self.decay > 0):
+        if self.mode == "collapse" and (self.epochs < 1 or not 0 < self.decay < math.inf):
             raise ValueError(
-                f"collapse mode needs epochs >= 1 and decay > 0, got "
+                f"collapse mode needs epochs >= 1 and a positive finite decay, got "
                 f"({self.epochs}, {self.decay})"
             )
 

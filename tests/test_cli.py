@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from uqgate import (
     make_tensor, margin, measures, softmax, stats, synth, write_ept_file,
 )
 from uqgate.cli import main
-from uqgate.ept import write_labels
+from uqgate.ept import read_ept_file, write_labels
 from uqgate.stats import Ensemble, member_probs
 
-from conftest import probs_tensor, random_probs
+from conftest import old_softmax_tensor, probs_tensor, random_probs
 
 
 @pytest.fixture
@@ -648,3 +649,131 @@ def test_infinite_k_is_rejected(one_member, argv):
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1
     assert result.stderr.startswith("error: k must be positive and finite")
+
+
+# ---------------------------------------------------------------------------
+# Every analysing command on logits, one sample block at a time, against the
+# route it replaced: the whole file softmaxed into a binary64 probs tensor
+# (_old_read_input) and whole-tensor moments for coverage and diversity.
+
+
+def _old_read_input(path):
+    tensor = read_ept_file(path)
+    if tensor.manifest.kind == "logits":
+        print(f"note: {path} contains logits; applying softmax", file=sys.stderr)
+        tensor = old_softmax_tensor(tensor)
+    return tensor
+
+
+@pytest.fixture
+def logits_files(tmp_path):
+    paths = []
+    for seed, samples in ((3, 9), (4, 13)):
+        cfg = SynthConfig(samples=samples, classes=4, members=9, s_signal=2.0, s_noise=0.7,
+                          seed=seed)
+        probs, logits, labels = generate(cfg)
+        write_ept_file(logits, tmp_path / f"logits{seed}.ept")
+        with open(tmp_path / f"labels{seed}.csv", "w", newline="") as handle:
+            write_labels(labels, handle)
+        paths.append(tmp_path / f"logits{seed}.ept")
+    return paths
+
+
+@pytest.mark.parametrize("command", [
+    ("report", "--input", "{a}", "--labels", "{dir}/labels3.csv", "--k", "0.5,1,2"),
+    ("report", "--input", "{b}", "--labels", "{dir}/labels4.csv", "--format", "json"),
+    ("coverage", "--input", "{b}", "--labels", "{dir}/labels4.csv", "--k-grid", "0.25:4:16"),
+    ("ood", "--id", "{a}", "--ood", "{b}", "--measure", "all"),
+    ("diversity", "--inputs", "{a}", "{a}", "--format", "json"),
+    ("diversity", "--inputs", "{b}", "{b}", "{b}"),
+])
+def test_logits_identical_to_whole_tensor_softmax(logits_files, capsys, monkeypatch, command):
+    a, b = logits_files
+    argv = [part.format(a=a, b=b, dir=a.parent) for part in command]
+    with monkeypatch.context() as old:
+        old.setattr(cli, "_read_input", _old_read_input)
+        old.setattr(stats.ClassStats, "from_tensor",
+                    classmethod(lambda cls, tensor: Ensemble(member_probs(tensor)).stats))
+        ref = run(capsys, *argv)
+    monkeypatch.setattr(stats, "SAMPLE_BLOCK", 4)
+    assert run(capsys, *argv) == ref
+    assert ref[0] == 0 and "applying softmax" in ref[2]
+
+
+def test_logits_memory_stays_below_the_tensor():
+    # A 20x16384x10 logits tensor is 25 MiB as float64; the whole-tensor
+    # softmax route peaked at about three times that.
+    rng = np.random.default_rng(0)
+    tensor = make_tensor(rng.normal(size=(20, 16 * stats.SAMPLE_BLOCK, 10)), kind="logits")
+    configs = [GateConfig(k=k) for k in (0.5, 1.0, 2.0, 4.0)]
+    passes = {
+        "from_tensor": lambda: stats.ClassStats.from_tensor(tensor),
+        "report": lambda: [None for _ in cli._report_rows(tensor, None, configs)],
+    }
+    for name, run_pass in passes.items():
+        tracemalloc.start()
+        try:
+            run_pass()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor.data.nbytes / 2, name
+
+
+def test_report_rejects_colliding_k_columns(tmp_path, capsys):
+    # f"{k:g}" keeps 6 digits: both values would name tu_k1, au_k1 and eu_k1.
+    code, out, err = run(capsys, "report", "--input", tmp_path / "nope.ept",
+                         "--k", "1,1.0000001")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: k values 1.0 and 1.0000001 both name the columns "
+                   "tu_k1, au_k1 and eu_k1\n")
+
+
+def test_deeply_nested_manifest_fails_cleanly(tmp_path, capsys):
+    header = b"[" * 200_000
+    path = tmp_path / "nested.ept"
+    path.write_bytes(b"EPT1" + struct.pack("<I", len(header)) + header)
+    code, out, err = run(capsys, "report", "--input", path)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: manifest is not valid JSON")
+
+
+def test_calibrate_rejects_multilabel_before_labels(tmp_path, capsys, rng):
+    tensor = make_tensor(rng.normal(size=(2, 4, 3)), kind="logits", task="multilabel")
+    write_ept_file(tensor, tmp_path / "ml.ept")
+    (tmp_path / "ml.csv").write_text("0,1,0\n1,0,0\n0,0,1\n1,1,0\n")
+    for labels in ("ml.csv", "nope.csv"):
+        code, out, err = run(capsys, "calibrate", "--input", tmp_path / "ml.ept",
+                             "--labels", tmp_path / labels)
+        assert code == 1
+        assert out == ""
+        assert err == "error: calibrate requires a multiclass tensor\n"
+
+
+def test_ood_holds_one_payload_at_a_time(workdir, capsys, monkeypatch):
+    read = []
+
+    def tracked_read(path):
+        # The ID payload is released before the OOD file is read.
+        assert all(ref() is None for ref in read)
+        tensor = read_ept_file(path)
+        read.append(weakref.ref(tensor))
+        return tensor
+
+    monkeypatch.setattr(cli, "read_ept_file", tracked_read)
+    code, out, _ = run(capsys, "ood", "--id", workdir / "probs.ept", "--ood",
+                       workdir / "logits.ept")
+    assert code == 0 and json.loads(out)["auroc"]
+    assert len(read) == 2
+
+
+def test_ood_writes_nothing_before_both_files_are_valid(workdir, capsys):
+    (workdir / "bad.ept").write_bytes(b"EPT1")
+    target = workdir / "auroc.json"
+    code, out, err = run(capsys, "ood", "--id", workdir / "probs.ept", "--ood",
+                         workdir / "bad.ept", "--output", target)
+    assert code == 1
+    assert out == "" and not target.exists()
+    assert err.count("\n") == 1 and err.startswith("error: stream truncated")

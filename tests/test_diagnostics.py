@@ -105,10 +105,11 @@ class TestCollapseEpoch:
         def stream():
             for epoch, values in enumerate(data):
                 # Every snapshot before the one being read has been released.
-                assert all(ref() is None for ref in made[:-1])
+                assert all(ref() is None for ref in made)
                 tensor = probs_tensor(values, epoch=epoch + 1)
                 made.append(weakref.ref(tensor))
                 yield tensor
+                del tensor  # only collapse_epoch may hold it now
 
         series = collapse_epoch(stream(), tau=1e-3)
         assert len(made) == 4

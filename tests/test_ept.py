@@ -147,6 +147,13 @@ class TestReadRejects:
         with pytest.raises(EptFormatError, match="JSON"):
             read_ept(io.BytesIO(raw))
 
+    def test_header_nested_too_deeply(self):
+        # json.loads raises RecursionError here, not JSONDecodeError.
+        header = b"[" * 200_000
+        raw = MAGIC + struct.pack("<I", len(header)) + header
+        with pytest.raises(EptFormatError, match="manifest is not valid JSON"):
+            read_ept(io.BytesIO(raw))
+
     def test_manifest_missing_fields(self):
         header = json.dumps({"version": 1}).encode()
         raw = MAGIC + struct.pack("<I", len(header)) + header

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from uqgate import ClassStats, entropy, softmax, softmax_tensor
+from uqgate import ClassStats, Ensemble, entropy, make_tensor, softmax, softmax_tensor, stats
 from uqgate.ept import EptValidationError
+from uqgate.stats import member_probs
 
-from conftest import logits_tensor, probs_tensor, random_probs
+from conftest import logits_tensor, old_softmax_tensor, probs_tensor, random_probs
 
 
 def two_pass_moments(data):
@@ -94,12 +95,12 @@ class TestMoments:
         tensor = probs_tensor(data)
         assert (ClassStats.from_tensor(tensor).sigma <= 0.5 + 1e-15).all()
 
-    def test_logits_rejected(self, rng):
+    def test_logits_softmaxed(self, rng):
         tensor = logits_tensor(rng.normal(size=(2, 3, 4)))
-        with pytest.raises(EptValidationError, match="probs"):
-            ClassStats.from_tensor(tensor).mu
-        with pytest.raises(EptValidationError, match="probs"):
-            ClassStats.from_tensor(tensor).sigma
+        got = ClassStats.from_tensor(tensor)
+        ref = ClassStats.from_tensor(softmax_tensor(tensor))
+        assert got.mu.tobytes() == ref.mu.tobytes()
+        assert got.sigma.tobytes() == ref.sigma.tobytes()
 
     def test_class_stats_wrapper(self, rng):
         data = random_probs(rng, 3, 6, 4)
@@ -108,6 +109,43 @@ class TestMoments:
         np.testing.assert_allclose(stats.mu, mu, atol=1e-12)
         np.testing.assert_allclose(stats.sigma, sigma, atol=1e-12)
         assert stats.samples == 6 and stats.classes == 4
+
+
+class TestSampleBlocks:
+    """member_probs and ClassStats.from_tensor one block at a time, at block size 4."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(stats, "SAMPLE_BLOCK", 4)
+
+    @staticmethod
+    def tensor(rng, kind, members, samples, precision):
+        data = random_probs(rng, members, samples, 5)
+        if kind == "logits":
+            data = 6.0 * rng.normal(size=data.shape)
+        return make_tensor(data.astype(precision), kind=kind)
+
+    @pytest.mark.parametrize("precision", [np.float64, np.float32])
+    @pytest.mark.parametrize("members", [1, 9])
+    @pytest.mark.parametrize("samples", [1, 3, 4, 5, 8, 9, 13])
+    @pytest.mark.parametrize("kind", ["probs", "logits"])
+    def test_blocked_moments_equal_whole_tensor(self, rng, kind, members, samples, precision):
+        tensor = self.tensor(rng, kind, members, samples, precision)
+        whole = Ensemble(member_probs(tensor)).stats
+        blocked = ClassStats.from_tensor(tensor)
+        assert np.array_equal(blocked.mu, whole.mu)
+        assert np.array_equal(blocked.sigma, whole.sigma)
+
+    @pytest.mark.parametrize("precision", [np.float64, np.float32])
+    @pytest.mark.parametrize("samples", [1, 5, 13])
+    def test_logits_probs_equal_old_softmax_tensor(self, rng, samples, precision):
+        tensor = self.tensor(rng, "logits", 9, samples, precision)
+        ref = old_softmax_tensor(tensor)
+        assert member_probs(tensor).tobytes() == member_probs(ref).tobytes()
+        assert softmax_tensor(tensor).data.tobytes() == ref.data.tobytes()
+        for start, stop in stats.sample_blocks(samples):
+            block = slice(start, stop)
+            assert member_probs(tensor, block).tobytes() == member_probs(ref, block).tobytes()
 
 
 class TestEntropy:

@@ -88,6 +88,20 @@ class TestGenerate:
         with pytest.raises(ValueError, match="static"):
             generate(SynthConfig(**BASE, mode="collapse", epochs=3))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("s_signal", np.nan, "s_signal must be positive and finite"),
+        ("s_signal", np.inf, "s_signal must be positive and finite"),
+        ("s_noise", np.nan, "s_noise must be non-negative and finite"),
+        ("s_noise", np.inf, "s_noise must be non-negative and finite"),
+        ("decay", np.nan, "positive finite decay"),
+        ("decay", np.inf, "positive finite decay"),
+    ])
+    def test_nonfinite_settings_rejected(self, field, value, message):
+        # Each would otherwise fail later, as "softmax requires finite inputs".
+        cfg = SynthConfig(**{**BASE, field: value}, mode="collapse", epochs=2)
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+
 
 class TestCollapseSeries:
     def collapse_cfg(self, **overrides):
