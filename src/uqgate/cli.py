@@ -22,8 +22,12 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from contextlib import contextmanager
+
+# uqgate calls no BLAS routine, and OpenBLAS's worker threads cost start-up time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -139,16 +143,17 @@ def _k_suffix(k: float) -> str:
 
 
 def _cells(name, values, fmt):
-    """One column's cells as text: int, float, or "uncertain" for an undecided decision."""
+    """One column's cells for the record template: numbers, except JSON floats as text and
+    "uncertain" for an undecided decision."""
     if name not in _INT_COLUMNS:
         if fmt == "csv":
-            return list(map(_fmt, values.tolist()))
+            return values.tolist()
         return [_JSON_NONFINITE.get(cell, cell) for cell in map(repr, values.tolist())]
     ints = values.astype(np.int64).tolist()
     if name != "decision":
-        return list(map(str, ints))
+        return ints
     undecided = "uncertain" if fmt == "csv" else '"uncertain"'
-    return [undecided if v == margin.UNCERTAIN else str(v) for v in ints]
+    return [undecided if v == margin.UNCERTAIN else v for v in ints]
 
 
 def _emit_table(blocks, fmt, out):
@@ -162,7 +167,9 @@ def _emit_table(blocks, fmt, out):
     names = [name for name, _ in first]
     if fmt == "csv":
         out.write(",".join(names) + "\n")
-        record, lead, sep = ",".join(["%s"] * len(names)) + "\n", "", ""
+        # Floats to 9 significant digits; an undecided decision is already text.
+        specs = ["%s" if n == "decision" else "%d" if n in _INT_COLUMNS else "%.9g" for n in names]
+        record, lead, sep = ",".join(specs) + "\n", "", ""
     else:
         out.write("[")
         record = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in names) + "\n  }"

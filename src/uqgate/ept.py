@@ -37,7 +37,7 @@ PRECISIONS = {"binary32": "<f4", "binary64": "<f8"}
 ROW_SUM_TOL = 1e-5
 PROB_RANGE_SLACK = 1e-6
 
-# Largest single read: declared sizes are checked against the stream, not trusted.
+# First buffer size of a read: declared sizes are checked against the stream, not trusted.
 READ_CHUNK = 1 << 24
 
 
@@ -236,7 +236,7 @@ def write_ept(tensor: PredictionTensor, destination: BinaryIO) -> int:
 
 
 def read_ept(source: BinaryIO) -> PredictionTensor:
-    """Parse and strictly validate an EPT container from a byte stream."""
+    """Parse and strictly validate an EPT container from a binary stream with ``readinto``."""
     magic = source.read(len(MAGIC))
     if len(magic) < len(MAGIC):
         raise EptFormatError("stream too short to contain magic bytes")
@@ -277,12 +277,22 @@ def read_ept(source: BinaryIO) -> PredictionTensor:
 def _read_up_to(source: BinaryIO, size: int) -> bytearray:
     """Read ``size`` bytes, or fewer at the end of the stream.
 
-    Reads in bounded chunks and never allocates ``size`` up front, so a
-    hostile header cannot overflow or oversize the read.
+    Reads in place into one buffer of at most ``READ_CHUNK`` bytes that
+    doubles only once the stream has filled it, so a hostile header cannot
+    overflow or oversize the read: the buffer never exceeds ``READ_CHUNK``
+    or twice what the stream has delivered.
     """
-    buf = bytearray()
-    while len(buf) < size and (chunk := source.read(min(size - len(buf), READ_CHUNK))):
-        buf += chunk
+    buf = bytearray(min(size, READ_CHUNK))
+    got = 0
+    while got < size:
+        if got == len(buf):
+            buf.extend(bytes(min(got, size - got)))
+        with memoryview(buf)[got:] as view:
+            count = source.readinto(view)
+        if not count:
+            break
+        got += count
+    del buf[got:]
     return buf
 
 

@@ -11,6 +11,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqgate import (
     UNCERTAIN, GateConfig, SynthConfig, cli, gating, generate, generate_collapse_series,
@@ -471,7 +473,7 @@ def _reference_emit_table(columns, fmt, out):
     if fmt == "csv":
         out.write(",".join(names) + "\n")
         for record in _reference_records(columns):
-            out.write(",".join(cli._fmt(v) if isinstance(v, float) else str(v)
+            out.write(",".join(f"{v:.9g}" if isinstance(v, float) else str(v)
                                for v in record) + "\n")
     else:
         json.dump([dict(zip(names, record)) for record in _reference_records(columns)],
@@ -487,8 +489,11 @@ def _report_columns(data, eps=1e-8, labels=None):
 
 def _assert_tables_match(columns, rows_per_block, monkeypatch):
     monkeypatch.setattr(stats, "SAMPLE_BLOCK", rows_per_block)
-    blocks = [[(name, values[start:stop]) for name, values in columns]
-              for start, stop in stats.sample_blocks(len(columns[0][1]))]
+    _assert_blocks_match(columns, stats.sample_blocks(len(columns[0][1])))
+
+
+def _assert_blocks_match(columns, bounds):
+    blocks = [[(name, values[start:stop]) for name, values in columns] for start, stop in bounds]
     for fmt in ("csv", "json"):
         got, ref = io.StringIO(), io.StringIO()
         cli._emit_table(blocks, fmt, got)
@@ -531,6 +536,36 @@ class TestEmitTable:
     def test_no_rows(self, monkeypatch):
         columns = [("epoch", np.arange(0)), ("diversity", np.zeros(0))]
         _assert_tables_match(columns, 4, monkeypatch)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3, 6, 7, 8])
+    def test_every_column_kind_at_any_block_size(self, rng, rows_per_block):
+        # Float, int, bool and decision columns: each has its own CSV template field.
+        columns = [("sample", np.arange(7)),
+                   ("tu", rng.standard_normal(7) * 10.0 ** rng.integers(-300, 300, 7)),
+                   ("decision", np.array([UNCERTAIN, 0, 3, UNCERTAIN, UNCERTAIN, 12, 1])),
+                   ("correct", np.array([1, 0, 0, 1, 1, 0, 1])),
+                   ("collapse", np.arange(7) == 5)]
+        _assert_blocks_match(columns, [(start, min(start + rows_per_block, 7))
+                                       for start in range(0, 7, rows_per_block)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_binary64_at_any_block_size(self, data):
+        rows = data.draw(st.integers(1, 12))
+        # Uniform bit patterns reach every exponent evenly; st.floats() favours
+        # the edges (subnormals, +-0, +-inf, NaN, the largest finite values).
+        bits = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+        floats = st.lists(st.one_of(st.floats(), bits), min_size=rows, max_size=rows)
+        decisions = st.lists(st.sampled_from([UNCERTAIN, 0, 1, 2]), min_size=rows, max_size=rows)
+        collapse = st.lists(st.booleans(), min_size=rows, max_size=rows)
+        columns = [("sample", np.arange(rows)),
+                   ("tu", np.array(data.draw(floats), dtype=np.float64)),
+                   ("snr", np.array(data.draw(floats), dtype=np.float64)),
+                   ("decision", np.array(data.draw(decisions))),
+                   ("collapse", np.array(data.draw(collapse)))]
+        step = data.draw(st.integers(1, rows))
+        _assert_blocks_match(columns, [(start, min(start + step, rows))
+                                       for start in range(0, rows, step)])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from uqgate import (
     read_labels,
     write_ept,
 )
+from uqgate import ept
 from uqgate.ept import MAGIC, write_labels
 
 from conftest import logits_tensor, probs_tensor, random_probs
@@ -39,6 +40,13 @@ class NonSeekable(io.RawIOBase):
 
     def readinto(self, buffer):
         return self._inner.readinto(buffer)
+
+
+class Trickle(NonSeekable):
+    """A raw stream that delivers at most 5 bytes per read, like a slow pipe."""
+
+    def readinto(self, buffer):
+        return self._inner.readinto(memoryview(buffer)[:5])
 
 
 def valid_file_bytes(data=None, manifest_overrides=None, payload=None):
@@ -97,6 +105,20 @@ class TestWriteRead:
         loaded = roundtrip(tensor)
         assert loaded.manifest.task == "multilabel"
         assert loaded.data.tobytes() == tensor.data.tobytes()
+
+    @pytest.mark.parametrize("first_buffer", [1, 7, 64, 1 << 24])
+    def test_short_reads_fill_a_growing_buffer(self, rng, monkeypatch, first_buffer):
+        # The payload arrives 5 bytes at a time into a buffer that starts at
+        # first_buffer bytes and doubles when full.
+        monkeypatch.setattr(ept, "READ_CHUNK", first_buffer)
+        tensor = probs_tensor(random_probs(rng, 3, 7, 4))
+        buffer = io.BytesIO()
+        write_ept(tensor, buffer)
+        loaded = read_ept(Trickle(buffer.getvalue()))
+        assert loaded.manifest == tensor.manifest
+        assert loaded.data.tobytes() == tensor.data.tobytes()
+        with pytest.raises(EptFormatError, match="truncated payload: expected 672 bytes, got 671"):
+            read_ept(Trickle(buffer.getvalue()[:-1]))
 
     def test_write_refuses_bad_row_sum(self):
         bad = np.array([[[0.7, 0.7]]])
