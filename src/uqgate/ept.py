@@ -73,7 +73,7 @@ class EptManifest:
             raise EptValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.task not in TASKS:
             raise EptValidationError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.precision not in PRECISIONS:
+        if not isinstance(self.precision, str) or self.precision not in PRECISIONS:
             raise EptValidationError(
                 f"precision must be one of {tuple(PRECISIONS)}, got {self.precision!r}"
             )
@@ -113,8 +113,10 @@ class EptManifest:
     @classmethod
     def from_json(cls, text: str) -> "EptManifest":
         try:
-            fields = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            fields = json.loads(text, object_pairs_hook=_unique_fields)
+        except EptFormatError:
+            raise
+        except (ValueError, RecursionError) as exc:  # too deeply nested or too long an integer
             raise EptFormatError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(fields, dict):
             raise EptFormatError("manifest must be a JSON object")
@@ -137,6 +139,16 @@ class EptManifest:
         )
         manifest.validate()
         return manifest
+
+
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: a repeated key is an error, not a silent overwrite."""
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise EptFormatError(f"manifest has duplicate field {key!r}")
+        fields[key] = value
+    return fields
 
 
 @dataclass(frozen=True)

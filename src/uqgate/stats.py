@@ -50,6 +50,40 @@ def entropy(dist: np.ndarray, axis: int = -1) -> np.ndarray:
     return -terms.sum(axis=axis)
 
 
+def class_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis -2 of a class-major (..., C, B) float64 array, one row op per class step.
+
+    Adds in exactly numpy's order for a contiguous last axis (its pairwise
+    sum), so ``class_sum(x)`` is bit-identical to
+    ``np.ascontiguousarray(x.swapaxes(-1, -2)).sum(-1)``, signed zeros included.
+    """
+    return 0.0 + _pairwise_rows(x)  # numpy's reduce starts from +0.0: -0.0 sums become +0.0
+
+
+def _pairwise_rows(x: np.ndarray) -> np.ndarray:
+    # numpy's pairwise_sum: in sequence under 8 terms, 8 unrolled accumulators
+    # up to 128, else split at n // 2 rounded down to a multiple of 8.
+    n = x.shape[-2]
+    if n < 8:
+        total = np.zeros(x.shape[:-2] + x.shape[-1:])
+        for c in range(n):
+            total += x[..., c, :]
+        return total
+    if n <= 128:
+        full = n - n % 8
+        acc = x[..., :8, :] if full == 8 else x[..., :8, :] + x[..., 8:16, :]
+        for c in range(16, full, 8):
+            acc += x[..., c:c + 8, :]
+        pairs = acc[..., 0::2, :] + acc[..., 1::2, :]  # r0+r1, r2+r3, r4+r5, r6+r7
+        quads = pairs[..., 0::2, :] + pairs[..., 1::2, :]
+        total = quads[..., 0, :] + quads[..., 1, :]
+        for c in range(full, n):
+            total += x[..., c, :]
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_rows(x[..., :half, :]) + _pairwise_rows(x[..., half:, :])
+
+
 def member_probs(tensor: PredictionTensor, samples: slice = slice(None)) -> np.ndarray:
     """Member probabilities of a probs or logits tensor as a float64 (M, N, C) array.
 

@@ -24,6 +24,22 @@ def old_softmax_tensor(tensor):
                        epoch=tensor.manifest.epoch)
 
 
+def ordered_pair_js(probs):
+    """EPJS of (M, N, C) member probabilities over all M^2 ordered pairs, member by member.
+
+    The reference for the unordered-pair, class-major route of measures.pairwise_js:
+    every bit must match.
+    """
+    def entropy_rows(dist):
+        return -(dist * np.log(np.clip(dist, 1e-12, None))).sum(axis=-1)
+
+    m, n, _ = probs.shape
+    mix_h_total = np.zeros(n)
+    for i in range(m):
+        mix_h_total += entropy_rows((probs[i][None, :, :] + probs) / 2.0).sum(axis=0)
+    return mix_h_total / (m * m) - entropy_rows(probs).mean(axis=0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

@@ -22,7 +22,7 @@ from uqgate.cli import main
 from uqgate.ept import read_ept_file, write_labels
 from uqgate.stats import Ensemble, member_probs
 
-from conftest import old_softmax_tensor, probs_tensor, random_probs
+from conftest import old_softmax_tensor, ordered_pair_js, probs_tensor, random_probs
 
 
 @pytest.fixture
@@ -812,3 +812,42 @@ def test_ood_writes_nothing_before_both_files_are_valid(workdir, capsys):
     assert code == 1
     assert out == "" and not target.exists()
     assert err.count("\n") == 1 and err.startswith("error: stream truncated")
+
+
+def test_duplicate_manifest_keys_fail_cleanly(tmp_path, capsys):
+    header = (b'{"version":1,"kind":"logits","task":"multiclass","kind":"probs","members":2,'
+              b'"samples":1,"classes":2,"precision":"binary64","members":1}')
+    path = tmp_path / "duplicate.ept"
+    path.write_bytes(b"EPT1" + struct.pack("<I", len(header)) + header + bytes(16))
+    code, out, err = run(capsys, "report", "--input", path)
+    assert (code, out, err) == (1, "", "error: manifest has duplicate field 'kind'\n")
+
+
+# EPJS in the CLI against the ordered-pair loop over each block's member
+# probabilities: same host, same log, so every output byte must match.
+
+
+@pytest.fixture
+def js_files(workdir):
+    cfg = SynthConfig(samples=11, classes=100, members=7, s_signal=1.0, s_noise=0.5, seed=5)
+    probs, logits, _ = generate(cfg)
+    for name, tensor in (("wide32.ept", probs), ("wide32_logits.ept", logits)):
+        write_ept_file(make_tensor(tensor.data.astype(np.float32), kind=tensor.manifest.kind),
+                       workdir / name)
+    return workdir
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--input", "probs.ept", "--labels", "labels.csv", "--format", "json"),
+    ("report", "--input", "logits.ept", "--format", "json"),
+    ("report", "--input", "wide32.ept", "--format", "json"),
+    ("ood", "--id", "probs.ept", "--ood", "logits.ept", "--measure", "epjs"),
+    ("ood", "--id", "wide32.ept", "--ood", "wide32_logits.ept", "--measure", "epjs"),
+])
+def test_epjs_bytes_match_ordered_pair_reference(js_files, capsys, monkeypatch, argv):
+    argv = [js_files / part if part.endswith((".ept", ".csv")) else part for part in argv]
+    monkeypatch.setattr(stats, "SAMPLE_BLOCK", 4)  # several blocks, with a remainder
+    got = run(capsys, *argv)
+    monkeypatch.setattr(measures, "pairwise_js", lambda ens: ordered_pair_js(ens.probs))
+    assert run(capsys, *argv) == got
+    assert got[0] == 0 and got[1]

@@ -1,13 +1,17 @@
 """Container format: round-trips are bit-exact, malformed input raises typed errors."""
 
+import contextlib
 import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqgate import (
+    EptError,
     EptFormatError,
     EptManifest,
     EptValidationError,
@@ -17,7 +21,8 @@ from uqgate import (
     write_ept,
 )
 from uqgate import ept
-from uqgate.ept import MAGIC, write_labels
+from uqgate.cli import main
+from uqgate.ept import KINDS, MAGIC, PRECISIONS, write_labels
 
 from conftest import logits_tensor, probs_tensor, random_probs
 
@@ -318,3 +323,155 @@ class TestLabels:
         out = io.StringIO()
         write_labels(np.array([[1, 0], [0, 1]]), out)
         assert out.getvalue() == "1,0\n0,1\n"
+
+
+# ---------------------------------------------------------------------------
+# Hostile containers: mutations of valid files either load or raise an
+# EptError subclass, the same on seekable and non-seekable streams, and the
+# CLI turns every rejection into exit status 1 and one error line.
+
+# Each manifest attack with the values it is drawn from.
+_MANIFEST_ATTACKS = {
+    "oversized": [("members", 2**40), ("samples", 2**62), ("classes", 10**30)],
+    "long_integer": ["members", "classes"],  # 5001 digits: past Python's int parsing limit
+    "nested": [1, 50, 200_000],
+    "duplicate": ["version", "kind", "task", "members", "samples", "classes", "precision"],
+    "unhashable": ["kind", "task", "precision"],
+    "header_length": [0, 2**20, 2**32 - 1],
+}
+
+
+@st.composite
+def _valid_containers(draw):
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(2, 4)))
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "logits":
+        data = rng.normal(size=shape)
+    else:
+        data = rng.dirichlet(np.ones(shape[2]), size=shape[:2])
+    precision = draw(st.sampled_from(sorted(PRECISIONS)))
+    tensor = make_tensor(data.astype(PRECISIONS[precision]), kind=kind, precision=precision)
+    buffer = io.BytesIO()
+    write_ept(tensor, buffer)
+    return tensor, buffer.getvalue()
+
+
+def _header_end(raw):
+    return 8 + struct.unpack("<I", raw[4:8])[0]
+
+
+def _attack_manifest(raw, attack, choice):
+    """A copy of the valid container ``raw`` whose manifest carries one attack."""
+    if attack == "header_length":
+        return raw[:4] + struct.pack("<I", choice) + raw[8:]
+    fields = json.loads(raw[8:_header_end(raw)])
+    if attack == "oversized":
+        name, value = choice
+        fields[name] = value
+    elif attack == "unhashable":
+        fields[choice] = []
+    elif attack in ("nested", "long_integer"):
+        fields[choice if attack == "long_integer" else "epoch"] = "SPLICE"
+    text = json.dumps(fields)
+    if attack == "nested":
+        text = text.replace('"SPLICE"', "[" * choice + "]" * choice)
+    elif attack == "long_integer":
+        text = text.replace('"SPLICE"', "1" + "0" * 5000)
+    elif attack == "duplicate":  # a second, conflicting value for one field
+        text = text[:-1] + f', "{choice}": {json.dumps(fields[choice] * 2)}}}'
+    header = text.encode()
+    return MAGIC + struct.pack("<I", len(header)) + header + raw[_header_end(raw):]
+
+
+@st.composite
+def _hostile_containers(draw):
+    tensor, raw = draw(_valid_containers())
+    header_end = _header_end(raw)
+    regions = {"magic": (0, 4), "length": (4, 8), "header": (8, header_end),
+               "payload": (header_end, len(raw))}
+    mutation = draw(st.sampled_from(
+        ["truncate", "flip", "non_finite", "out_of_range", "row_drift", "trailing", "manifest"]))
+    if mutation == "truncate":
+        lo, hi = regions[draw(st.sampled_from(list(regions)))]
+        return raw[:draw(st.integers(lo, hi - 1))]
+    if mutation == "flip":
+        lo, hi = regions[draw(st.sampled_from(["header", "payload"]))]
+        at = draw(st.integers(lo, hi - 1))
+        return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1:]
+    if mutation == "trailing":
+        return raw + draw(st.binary(min_size=1, max_size=16))
+    if mutation == "manifest":
+        attack = draw(st.sampled_from(list(_MANIFEST_ATTACKS)))
+        return _attack_manifest(raw, attack, draw(st.sampled_from(_MANIFEST_ATTACKS[attack])))
+    data = tensor.data.copy()
+    m, n, c = (draw(st.integers(0, size - 1)) for size in data.shape)
+    if mutation == "non_finite":
+        data[m, n, c] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif mutation == "out_of_range":
+        data[m, n, c] = draw(st.sampled_from([-0.5, -1e-5, 1.0 + 1e-5, 2.0, 1e30]))
+    else:
+        data[m, n] *= draw(st.sampled_from([1.0 + 1e-4, 0.99, 0.5, 2.0]))
+    return raw[:header_end] + data.tobytes()
+
+
+def _outcome(source):
+    try:
+        tensor = read_ept(source)
+    except EptError as exc:  # any other exception type fails the test
+        return type(exc), str(exc)
+    return tensor.manifest, tensor.data.tobytes()
+
+
+def _report(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestHostileContainers:
+    @given(raw=_hostile_containers())
+    @settings(max_examples=400, deadline=None)
+    def test_typed_error_or_tensor_on_any_stream(self, raw, tmp_path_factory):
+        got = _outcome(io.BytesIO(raw))
+        assert _outcome(io.BufferedReader(NonSeekable(raw))) == got
+        assert _outcome(Trickle(raw)) == got
+
+        path = tmp_path_factory.getbasetemp() / "hostile.ept"
+        path.write_bytes(raw)
+        code, out, err = _report(path)
+        if isinstance(got[0], EptManifest):
+            assert code == 0 and out
+        else:
+            assert (code, out, err) == (1, "", f"error: {got[1]}\n")
+
+    @pytest.mark.parametrize("attack,choice", [
+        (attack, choice) for attack, choices in _MANIFEST_ATTACKS.items() for choice in choices
+    ])
+    def test_every_manifest_attack_is_typed(self, attack, choice):
+        buffer = io.BytesIO()
+        write_ept(make_tensor(np.array([[[0.25, 0.75]]]), kind="probs"), buffer)
+        got = _outcome(io.BytesIO(_attack_manifest(buffer.getvalue(), attack, choice)))
+        assert issubclass(got[0], EptError)
+        if attack == "nested" and choice < 1000:  # shallow: valid JSON, invalid epoch
+            prefix = "epoch must be a non-negative integer"
+        elif attack == "header_length" and choice == 0:
+            prefix = "manifest is not valid JSON"
+        else:
+            prefix = {
+                "oversized": "truncated payload",
+                "long_integer": "manifest is not valid JSON: Exceeds the limit",
+                "nested": "manifest is not valid JSON",
+                "duplicate": f"manifest has duplicate field {choice!r}",
+                "unhashable": f"{choice} must be",
+                "header_length": "header length",
+            }[attack]
+        assert got[1].startswith(prefix)
+
+
+def test_duplicate_manifest_keys_rejected():
+    text = ('{"version":1,"kind":"logits","task":"multiclass","kind":"probs","members":2,'
+            '"samples":1,"classes":2,"precision":"binary64","members":1}')
+    with pytest.raises(EptFormatError, match="^manifest has duplicate field 'kind'$"):
+        EptManifest.from_json(text)

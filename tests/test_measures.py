@@ -23,7 +23,7 @@ from uqgate.gating import decompose_gated
 from uqgate.measures import decompose, pairwise_ce, pairwise_js, pairwise_kl
 from uqgate.stats import member_probs
 
-from conftest import probs_tensor, random_probs
+from conftest import ordered_pair_js, probs_tensor, random_probs
 
 CLAMP = 1e-12
 
@@ -177,13 +177,7 @@ def _ref_epkl(tensor):
 
 
 def _ref_epjs(tensor):
-    probs = _ref_probs(tensor)
-    m, n, _ = probs.shape
-    member_h = _ref_entropy(probs)
-    mix_h_total = np.zeros(n)
-    for i in range(m):
-        mix_h_total += _ref_entropy((probs[i][None, :, :] + probs) / 2.0).sum(axis=0)
-    return mix_h_total / (m * m) - member_h.mean(axis=0)
+    return ordered_pair_js(_ref_probs(tensor))
 
 
 def _ref_gated(tensor, k, eps):
@@ -287,9 +281,16 @@ class TestViewMatchesReference:
 @st.composite
 def _js_cases(draw):
     block = draw(st.integers(2, 5))
-    # Up to 10 members: from 8 on, numpy sums a lone sample's terms pairwise.
-    shape = (draw(st.integers(1, 10)), draw(st.integers(1, 3 * block + 2)), draw(st.integers(2, 5)))
-    weights = draw(hnp.arrays(np.float64, shape, elements=_weights))
+    # Up to 10 members: every remainder of JS_ROWS partner rows occurs, and from
+    # 8 on numpy sums a lone sample's terms pairwise. From 8 classes on,
+    # class_sum takes its unrolled path, and above 128 its split.
+    classes = draw(st.one_of(st.integers(2, 5), st.sampled_from([8, 9, 10, 100, 129])))
+    shape = (draw(st.integers(1, 10)), draw(st.integers(1, 3 * block + 2)), classes)
+    if classes <= 5:
+        weights = draw(hnp.arrays(np.float64, shape, elements=_weights))
+    else:  # drawn element by element, wide rows would be slow: seed them instead
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        weights = rng.random(shape) * (rng.random(shape) < draw(st.sampled_from([0.1, 0.7, 1.0])))
     weights[..., 0] += weights.sum(axis=-1) == 0
     data = weights / weights.sum(axis=-1, keepdims=True)
     if draw(st.booleans()):

@@ -174,6 +174,38 @@ class TestEntropy:
         np.testing.assert_allclose(entropy(rows), loop, atol=1e-15)
 
 
+# Magnitudes from the smallest subnormal to 1e300, signed zeros included, so
+# any change in the order of the additions changes some result bits.
+_HOSTILE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1e-16,
+                            1.0, -1.0, 0.1, 3.0, 1e16, 1e300, -1e300])
+
+
+def _numpy_class_sum(x):
+    return np.ascontiguousarray(x.swapaxes(-1, -2)).sum(-1)
+
+
+class TestClassSum:
+    # Under 8, 8 to 128 (every remainder mod 8 up to 17) and the splits above 128.
+    @pytest.mark.parametrize("classes", [*range(1, 18), 31, 32, 33, 100, 127, 128, 129,
+                                         256, 257, 300])
+    def test_bit_identical_to_numpy_last_axis_sum(self, rng, classes):
+        shape = (3, classes, 7)
+        cases = [
+            rng.choice(_HOSTILE_VALUES, size=shape),
+            rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, size=shape),
+            rng.choice([0.0, -0.0], size=shape),
+            rng.random(shape),
+        ]
+        for x in cases:
+            for view in (x, x[0]):  # (..., C, B) and (C, B)
+                assert stats.class_sum(view).tobytes() == _numpy_class_sum(view).tobytes()
+
+    def test_all_negative_zeros_sum_to_positive_zero(self):
+        for classes in (1, 7, 8, 200):
+            total = stats.class_sum(np.full((classes, 3), -0.0))
+            assert total.tobytes() == np.zeros(3).tobytes()
+
+
 class TestSoftmaxTensor:
     def test_converts_kind_and_task(self, rng):
         tensor = logits_tensor(rng.normal(size=(3, 4, 5)), epoch=2)
