@@ -40,10 +40,9 @@ from .ept import (
     write_ept_file,
     write_labels,
 )
-from .stats import ClassStats, ensemble_blocks
+from .stats import ClassStats, blockwise, ensemble_blocks
 
 DEFAULT_K = 1.0
-DEFAULT_EPS = 1e-8
 
 _INT_COLUMNS = ("sample", "decision", "correct", "epoch", "collapse")
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> json
@@ -291,8 +290,7 @@ def _ood_scores(tensor: PredictionTensor, names, k: float, eps: float) -> list[n
     """The named scores of one file, computed one sample block at a time."""
     _require_multiclass(tensor, "ood")
     cfg = gating.GateConfig(k=k, epsilon=eps)
-    blocks = [_block_scores(ens, names, cfg) for _, _, ens in ensemble_blocks(tensor)]
-    return [np.concatenate(column) for column in zip(*blocks)]
+    return blockwise(tensor, lambda ens: _block_scores(ens, names, cfg))
 
 
 def _block_scores(ens, names, cfg: gating.GateConfig) -> list[np.ndarray]:
@@ -376,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--labels", help="label CSV; adds a correctness column")
     rep.add_argument("--k", default="1", help="comma-separated gate sensitivities "
                      "(first value also drives the decision column)")
-    rep.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
+    rep.add_argument("--epsilon", type=float, default=gating.DEFAULT_EPS)
     rep.add_argument("--format", choices=("csv", "json"), default="csv")
     rep.add_argument("--output", help="destination path (default stdout)")
     rep.set_defaults(func=cmd_report)
@@ -393,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--labels", required=True)
     cov.add_argument("--k-grid", dest="k_grid", default="0.5,1,2,4",
                      help="comma list or lo:hi:count")
-    cov.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
+    cov.add_argument("--epsilon", type=float, default=gating.DEFAULT_EPS)
     cov.add_argument("--output")
     cov.set_defaults(func=cmd_coverage)
 
@@ -411,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ood.add_argument("--measure", default="all",
                      help=f"one of {', '.join(OOD_MEASURES)}, or 'all'")
     ood.add_argument("--k", type=float, default=DEFAULT_K, help="sensitivity for gated measures")
-    ood.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
+    ood.add_argument("--epsilon", type=float, default=gating.DEFAULT_EPS)
     ood.add_argument("--output")
     ood.set_defaults(func=cmd_ood)
 

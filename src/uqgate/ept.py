@@ -67,8 +67,9 @@ class EptManifest:
     version: int = VERSION
 
     def validate(self) -> None:
-        if self.version != VERSION:
-            raise EptValidationError(f"unsupported container version {self.version!r}")
+        version = self.version
+        if not isinstance(version, int) or isinstance(version, bool) or version != VERSION:
+            raise EptValidationError(f"unsupported container version {version!r}")
         if self.kind not in KINDS:
             raise EptValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.task not in TASKS:

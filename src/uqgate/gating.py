@@ -22,7 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .ept import EptValidationError, PredictionTensor
-from .stats import Ensemble, entropy, member_probs
+from .stats import Ensemble, blockwise, entropy, member_probs
+
+# Default numerical-stability epsilon of the gate, the SNR and GMU.
+DEFAULT_EPS = 1e-8
 
 # A member row whose entire gated mass falls below this is degenerate and
 # falls back to the ungated row (reachable only with astronomical k).
@@ -34,7 +37,7 @@ class GateConfig:
     """Gate sensitivity k (> 0) and numerical-stability epsilon (> 0)."""
 
     k: float
-    epsilon: float = 1e-8
+    epsilon: float = DEFAULT_EPS
 
     def __post_init__(self):
         check_k(self.k)
@@ -123,16 +126,17 @@ def decompose_gated(ens: Ensemble, cfg: GateConfig) -> Decomposition:
 
 
 def gated_members(tensor: PredictionTensor, cfg: GateConfig) -> GatedEnsemble:
-    """Gate and renormalize every member row of a multiclass probs or logits tensor."""
-    return gate_ensemble(_multiclass_view(tensor), cfg)
+    """Gate and renormalize every member row of a multiclass probs or logits tensor, whole."""
+    _check_multiclass(tensor)
+    return gate_ensemble(Ensemble(member_probs(tensor)), cfg)
 
 
 def gated_decomposition(tensor: PredictionTensor, cfg: GateConfig) -> Decomposition:
     """Gated TU/AU/EU of a multiclass probs or logits tensor (see :func:`decompose_gated`)."""
-    return decompose_gated(_multiclass_view(tensor), cfg)
+    _check_multiclass(tensor)
+    return Decomposition(*blockwise(tensor, lambda ens: decompose_gated(ens, cfg)))
 
 
-def _multiclass_view(tensor: PredictionTensor) -> Ensemble:
+def _check_multiclass(tensor: PredictionTensor) -> None:
     if tensor.manifest.task != "multiclass":
         raise EptValidationError("variance gating is defined for multiclass tensors only")
-    return Ensemble(member_probs(tensor))

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gating import check_k
+from .gating import DEFAULT_EPS, check_k
 from .stats import ClassStats
-
-DEFAULT_EPS = 1e-8
 
 UNCERTAIN = -1
 ABSENT = 0

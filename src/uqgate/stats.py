@@ -8,7 +8,7 @@ the decomposition identities exact without conversion factors.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +29,9 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(logits).all():
         raise ValueError("softmax requires finite inputs")
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+    # A row spanning more than the float range overflows to -inf here: exp gives 0.
+    with np.errstate(over="ignore"):
+        shifted = logits - logits.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=axis, keepdims=True)
 
@@ -120,6 +122,20 @@ def ensemble_blocks(tensor: PredictionTensor) -> Iterator[tuple[int, int, Ensemb
         yield start, stop, Ensemble(member_probs(tensor, slice(start, stop)))
 
 
+def blockwise(tensor: PredictionTensor, measure: Callable[[Ensemble], object]):
+    """``measure`` of every sample block's view, joined along the sample axis.
+
+    ``measure`` returns one per-sample array, or a sequence of them; the
+    result is then one joined array, or a list of joined arrays in order.
+    Peak memory beyond the payload is one block's work plus the per-sample
+    results, held once per block and once joined.
+    """
+    results = [measure(ens) for _, _, ens in ensemble_blocks(tensor)]
+    if isinstance(results[0], np.ndarray):
+        return np.concatenate(results)
+    return [np.concatenate(column) for column in zip(*results)]
+
+
 def softmax_tensor(tensor: PredictionTensor) -> PredictionTensor:
     """Convert a logits tensor to a binary64 probs tensor via row softmax."""
     if tensor.manifest.kind != "logits":
@@ -147,9 +163,7 @@ class ClassStats:
     @classmethod
     def from_tensor(cls, tensor: PredictionTensor) -> "ClassStats":
         """Moments of a probs or logits tensor, computed one sample block at a time."""
-        blocks = [ens.stats for _, _, ens in ensemble_blocks(tensor)]
-        return cls(mu=np.concatenate([block.mu for block in blocks]),
-                   sigma=np.concatenate([block.sigma for block in blocks]))
+        return cls(*blockwise(tensor, lambda ens: (ens.stats.mu, ens.stats.sigma)))
 
     @property
     def samples(self) -> int:
@@ -169,10 +183,12 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """One tensor's member probabilities and the quantities all measures share.
+    """One sample block's member probabilities and the quantities all measures share.
 
-    Build it once per tensor from :func:`member_probs`. Each derived array is
-    computed on first use and kept; no (M, N, C) intermediate is kept.
+    :func:`ensemble_blocks` builds one per block of samples from
+    :func:`member_probs`; every measure of a tensor reads these views. Each
+    derived array is computed on first use and kept; no (M, N, C)
+    intermediate is kept.
     """
 
     probs: np.ndarray  # (M, N, C) float64 in [0, 1]

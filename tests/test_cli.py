@@ -755,6 +755,41 @@ def test_logits_memory_stays_below_the_tensor():
         assert peak < tensor.data.nbytes / 2, name
 
 
+@pytest.mark.parametrize("kind", ["probs", "logits"])
+@pytest.mark.parametrize("name", ["standard_decomposition", "epce", "epkl", "epjs",
+                                  "gated_decomposition"])
+def test_tensor_measures_memory_stays_below_the_payload(kind, name):
+    # Each tensor-level measure evaluates one sample block at a time, so beyond
+    # the payload it holds one block's work and the per-sample results. On one
+    # whole-tensor view these peaked at 2.3-3.8 payloads.
+    rng = np.random.default_rng(0)
+    shape = (6, 16 * stats.SAMPLE_BLOCK + 3, 8)
+    data = random_probs(rng, *shape) if kind == "probs" else 4.0 * rng.normal(size=shape)
+    tensor = make_tensor(data, kind=kind)
+    module = gating if name == "gated_decomposition" else measures
+    args = (GateConfig(k=1.0),) if name == "gated_decomposition" else ()
+    tracemalloc.start()
+    try:
+        getattr(module, name)(tensor, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor.data.nbytes / 2
+
+
+def test_report_on_a_row_wider_than_the_float_range(tmp_path):
+    # Softmax shifts this row by its max: 1e308 - (-1e308) overflows to -inf,
+    # and exp(-inf) = 0 is the right value, so numpy's warning must not show.
+    path = tmp_path / "wide.ept"
+    write_ept_file(make_tensor(np.array([[[1e308, -1e308, 0.0]], [[0.0, 1.0, 2.0]]]),
+                               kind="logits"), path)
+    result = subprocess.run([sys.executable, "-m", "uqgate.cli", "report", "--input", str(path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stderr == f"note: {path} contains logits; applying softmax\n"
+    assert len(result.stdout.splitlines()) == 2
+
+
 def test_report_rejects_colliding_k_columns(tmp_path, capsys):
     # f"{k:g}" keeps 6 digits: both values would name tu_k1, au_k1 and eu_k1.
     code, out, err = run(capsys, "report", "--input", tmp_path / "nope.ept",

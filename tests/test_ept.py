@@ -246,6 +246,8 @@ class TestReadRejects:
             {"task": "regression"},
             {"precision": "binary16"},
             {"version": 9},
+            {"version": 1.0},
+            {"version": True},
             {"classes": 1},
             {"members": 0},
         ):

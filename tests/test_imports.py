@@ -85,6 +85,26 @@ def test_no_blas_calls(path):
                       "single-threaded (cli.py defaults OPENBLAS_NUM_THREADS to 1)")
 
 
+def _names(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "stats.py"],
+                         ids=lambda path: path.name)
+def test_block_policy_stays_in_stats(path):
+    # Every blocked consumer maps over stats.ensemble_blocks (or stats.blockwise),
+    # so the block size and the block bounds are known in one module.
+    uses = [(line, name) for line, name in _names(path)
+            if name in ("SAMPLE_BLOCK", "sample_blocks")]
+    assert not uses, f"{path.name} names the sample-block policy at {uses}"
+
+
 def test_cli_import_loads_no_scipy():
     # Every top-level module the CLI adds beyond numpy's own is stdlib or uqgate.
     code = ("import sys, json, numpy\n"

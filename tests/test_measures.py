@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from uqgate import (
+    ClassStats,
     Ensemble,
     GateConfig,
     decide_multiclass,
@@ -299,10 +300,9 @@ def _js_cases(draw):
 
 
 def _assert_blocked_js_matches(tensor, block):
-    ens = Ensemble(member_probs(tensor))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stats, "SAMPLE_BLOCK", block)
-        got = pairwise_js(ens)
+        got = epjs(tensor)
     ref = _ref_epjs(tensor)
     assert np.array_equal(got, ref)
     assert got.tobytes() == ref.tobytes()  # signs of zeros too
@@ -328,3 +328,62 @@ class TestBlockedEpjs:
     def test_default_block_on_a_larger_tensor(self, rng):
         tensor = probs_tensor(random_probs(rng, 12, 2 * stats.SAMPLE_BLOCK + 1, 4))
         _assert_blocked_js_matches(tensor, stats.SAMPLE_BLOCK)
+
+
+# ---------------------------------------------------------------------------
+# The tensor-level measures map over stats.ensemble_blocks (stats.blockwise);
+# each must give every byte that the same measure gives on one whole-tensor view.
+
+
+@st.composite
+def _blockwise_cases(draw):
+    block = draw(st.integers(2, 5))
+    # From 8 members numpy sums a lone sample's member terms pairwise.
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 3 * block + 2)), draw(st.integers(2, 5)))
+    if draw(st.booleans()):
+        weights = draw(hnp.arrays(np.float64, shape, elements=_weights))
+        weights[..., 0] += weights.sum(axis=-1) == 0
+        data, kind = weights / weights.sum(axis=-1, keepdims=True), "probs"
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        data, kind = rng.normal(size=shape) * draw(st.sampled_from([0.5, 4.0, 40.0])), "logits"
+    precision = draw(st.sampled_from([np.float64, np.float32]))
+    return block, make_tensor(data.astype(precision), kind=kind)
+
+
+def _whole_view_measures(tensor):
+    """Every routed measure, evaluated on one whole-tensor view."""
+    ens = Ensemble(member_probs(tensor))
+    got = {"standard": decompose(ens), "epce": pairwise_ce(ens), "epkl": pairwise_kl(ens),
+           "epjs": pairwise_js(ens), "moments": (ens.stats.mu, ens.stats.sigma)}
+    for k in K_VALUES:
+        got[f"gated k={k}"] = decompose_gated(ens, GateConfig(k=k))
+    return got
+
+
+def _tensor_measures(tensor):
+    """The same measures through the tensor-level functions."""
+    moments = ClassStats.from_tensor(tensor)
+    got = {"standard": standard_decomposition(tensor), "epce": epce(tensor),
+           "epkl": epkl(tensor), "epjs": epjs(tensor), "moments": (moments.mu, moments.sigma)}
+    for k in K_VALUES:
+        got[f"gated k={k}"] = gated_decomposition(tensor, GateConfig(k=k))
+    return got
+
+
+class TestBlockwiseMatchesWholeView:
+    @given(case=_blockwise_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, case):
+        block, tensor = case
+        ref = _whole_view_measures(tensor)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stats, "SAMPLE_BLOCK", block)
+            got = _tensor_measures(tensor)
+        for name, value in got.items():
+            assert _bytes(value) == _bytes(ref[name]), name
+
+
+def _bytes(value):
+    """The bytes of one array, or of each array in a tuple of them."""
+    return [part.tobytes() for part in ((value,) if isinstance(value, np.ndarray) else value)]

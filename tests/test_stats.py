@@ -38,6 +38,11 @@ class TestSoftmax:
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-300)
 
+    def test_row_wider_than_the_float_range(self):
+        # 1e308 - (-1e308) overflows to -inf in the shift: exp gives exactly 0, and
+        # no RuntimeWarning (an error under pytest) reaches the caller.
+        assert softmax(np.array([1e308, -1e308, 0.0])).tolist() == [1.0, 0.0, 0.0]
+
     def test_closed_form(self):
         np.testing.assert_allclose(
             softmax(np.array([np.log(2.0), 0.0])), [2.0 / 3.0, 1.0 / 3.0], atol=1e-15
