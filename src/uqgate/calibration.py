@@ -93,19 +93,25 @@ class _Nll:
         # scalar path does; fancy indexing may lay (B, N) out transposed.
         self.label = np.ascontiguousarray(logits[:, np.arange(samples), labels])
         self.count = 1 if pooled else logits.shape[0]
+        # Work arrays, made once: the search calls this object about 84 times.
         self._buffer = np.empty_like(logits)
+        self._maxes, self._sums, self._picked = (np.empty(self.label.shape) for _ in range(3))
 
     def __call__(self, temperatures: np.ndarray) -> np.ndarray:
         """Mean NLL per block, or one pooled mean, at (count,) temperatures."""
         t = np.asarray(temperatures, dtype=np.float64).reshape(-1, 1)
-        maxes = self.rowmax / t
+        maxes = np.divide(self.rowmax, t, out=self._maxes)
         shifted = np.divide(self.logits, t[..., None], out=self._buffer)
         shifted -= maxes[..., None]
-        sums = np.exp(shifted, out=shifted).sum(axis=-1)
-        picked = np.exp(self.label / t - maxes)
+        sums = np.exp(shifted, out=shifted).sum(axis=-1, out=self._sums)
+        picked = np.divide(self.label, t, out=self._picked)
+        picked -= maxes
+        np.exp(picked, out=picked)
         picked /= sums
         np.clip(picked, LOG_CLAMP, None, out=picked)
-        return -np.log(picked, out=picked).reshape(self.count, -1).mean(axis=-1)
+        np.log(picked, out=picked)
+        np.negative(picked, out=picked)
+        return picked.reshape(self.count, -1).mean(axis=-1)
 
 
 def _golden_sections(objective, lo: list[float], hi: list[float]) -> list[float]:

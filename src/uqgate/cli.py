@@ -19,6 +19,7 @@ Reports go to stdout or --output; diagnostics go to stderr; exit status is
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import itertools
 import json
@@ -43,6 +44,14 @@ from .ept import (
 from .stats import ClassStats, blockwise, ensemble_blocks
 
 DEFAULT_K = 1.0
+
+# glibc malloc policy of a CLI run: blocks below MMAP_THRESHOLD come from the
+# heap, and up to TRIM_THRESHOLD of freed heap stays mapped, so block-sized
+# work arrays reuse pages instead of faulting fresh ones in on every block.
+MMAP_THRESHOLD = 4 << 20
+TRIM_THRESHOLD = 64 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers, malloc.h
+_MALLOC_ENVIRONMENT = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
 
 _INT_COLUMNS = ("sample", "decision", "correct", "epoch", "collapse")
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> json
@@ -147,7 +156,10 @@ def _cells(name, values, fmt):
     if name not in _INT_COLUMNS:
         if fmt == "csv":
             return values.tolist()
-        return [_JSON_NONFINITE.get(cell, cell) for cell in map(repr, values.tolist())]
+        cells = list(map(repr, values.tolist()))
+        if np.isfinite(values).all():
+            return cells
+        return [_JSON_NONFINITE.get(cell, cell) for cell in cells]
     ints = values.astype(np.int64).tolist()
     if name != "decision":
         return ints
@@ -429,7 +441,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tune_allocator() -> None:
+    """Apply the CLI's malloc policy, unless the user set one or libc has no ``mallopt``.
+
+    Only ``main`` calls this: importing uqgate leaves a host program's allocator alone.
+    """
+    user_set = any(name in os.environ for name in _MALLOC_ENVIRONMENT)
+    if user_set or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no libc handle, or no mallopt in it
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # Both: setting either one turns off glibc's dynamic mmap threshold.
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _tune_allocator()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

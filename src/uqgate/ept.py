@@ -240,11 +240,11 @@ def write_ept(tensor: PredictionTensor, destination: BinaryIO) -> int:
     """
     tensor.validate()
     header = tensor.manifest.to_json().encode("utf-8")
-    payload = np.ascontiguousarray(tensor.data, dtype=tensor.manifest.dtype).tobytes()
+    payload = np.ascontiguousarray(tensor.data, dtype=tensor.manifest.dtype)
     written = destination.write(MAGIC)
     written += destination.write(struct.pack("<I", len(header)))
     written += destination.write(header)
-    written += destination.write(payload)
+    written += destination.write(memoryview(payload).cast("B"))  # no bytes copy
     return written
 
 

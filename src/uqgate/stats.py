@@ -31,9 +31,10 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
         raise ValueError("softmax requires finite inputs")
     # A row spanning more than the float range overflows to -inf here: exp gives 0.
     with np.errstate(over="ignore"):
-        shifted = logits - logits.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+        out = logits - logits.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)  # one output array: exp and the division run in place
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def entropy(dist: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -95,10 +96,10 @@ def member_probs(tensor: PredictionTensor, samples: slice = slice(None)) -> np.n
     code works on the clipped values. ``samples`` picks a block of samples;
     only that block is copied.
     """
-    values = tensor.data[:, samples].astype(np.float64, copy=False)
+    values = tensor.data[:, samples]
     if tensor.manifest.kind == "logits":
         return softmax(values)  # lies in [0, 1] already: nothing to clip
-    return np.clip(values, 0.0, 1.0)
+    return np.clip(values, 0.0, 1.0, dtype=np.float64)  # one float64 copy, binary32 too
 
 
 def sample_blocks(n: int) -> list[tuple[int, int]]:

@@ -81,7 +81,10 @@ def _member_logits(cfg: SynthConfig, z: np.ndarray, s_noise: float, epoch: int) 
     noise = _stream(cfg.seed, _STREAM_NOISE, epoch).standard_normal(
         (cfg.members, cfg.samples, cfg.classes)
     )
-    return z[None, :, :] + s_noise * noise
+    # In place, and bit-identical to z + s_noise * noise: IEEE addition commutes.
+    noise *= s_noise
+    noise += z
+    return noise
 
 
 def _draw_labels(cfg: SynthConfig, z: np.ndarray) -> np.ndarray:

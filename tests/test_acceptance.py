@@ -45,7 +45,7 @@ from uqgate import (
 from uqgate.ept import MAGIC
 from uqgate.stats import softmax
 
-from conftest import probs_tensor, random_probs
+from helpers import probs_tensor, random_probs
 
 
 @contextmanager

@@ -1,6 +1,7 @@
 """Temperature scaling: closed forms, synthetic inversion, search determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from uqgate import (
     nll,
     softmax,
 )
-from uqgate.calibration import fit_global, temperature_grid
+from uqgate.calibration import _Nll, fit_global, temperature_grid
 from uqgate.ept import EptValidationError
 
 
@@ -315,3 +316,47 @@ class TestLockstepSearch:
         tensor = make_tensor(rng.dirichlet(np.ones(3), size=(2, 4)), kind="probs")
         with pytest.raises(EptValidationError, match="logits"):
             fit_global(tensor, np.zeros(4, dtype=int))
+
+
+# ---------------------------------------------------------------------------
+# _Nll reuses work arrays made once, in __init__: no call may depend on the
+# values an earlier call left in them.
+
+
+class TestNllWorkArrays:
+    @staticmethod
+    def logits_and_labels(members=2, samples=20000, classes=10):
+        tensor, labels = _logit_case(11, members, samples, classes, 2.0, "softmax", False)
+        return tensor.data, labels
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_reused_object_equals_fresh_object_per_call(self, pooled):
+        logits, labels = self.logits_and_labels(samples=300)
+        count = 1 if pooled else logits.shape[0]
+        rng = np.random.default_rng(5)
+        grid = temperature_grid()
+        calls = [np.full(count, t) for t in grid] + [
+            np.exp(rng.uniform(math.log(0.01), math.log(10.0), count)) for _ in range(40)]
+        calls = [calls[i] for i in rng.permutation(len(calls))]
+        reused = _Nll(logits, labels, pooled)
+        for temperatures in calls:
+            got = reused(temperatures)
+            assert got.tobytes() == _Nll(logits, labels, pooled)(temperatures).tobytes()
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_a_call_allocates_less_than_one_per_sample_array(self, pooled):
+        logits, labels = self.logits_and_labels()
+        count = 1 if pooled else logits.shape[0]
+        loss = _Nll(logits, labels, pooled)
+        temperatures = np.full(count, 0.7)
+        loss(temperatures)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss(temperatures)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # A (count, N) float64 array: the work arrays, (M, N) each, were 3-4 such arrays
+        # per call before they were made once. What remains is a ufunc buffer at most.
+        assert peak < count * logits.shape[1] * 8

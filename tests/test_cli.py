@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -22,7 +23,7 @@ from uqgate.cli import main
 from uqgate.ept import read_ept_file, write_labels
 from uqgate.stats import Ensemble, member_probs
 
-from conftest import old_softmax_tensor, ordered_pair_js, probs_tensor, random_probs
+from helpers import old_softmax_tensor, ordered_pair_js, probs_tensor, random_probs
 
 
 @pytest.fixture
@@ -567,6 +568,23 @@ class TestEmitTable:
         _assert_blocks_match(columns, [(start, min(start + step, rows))
                                        for start in range(0, rows, step)])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_finite_and_non_finite_columns_side_by_side(self, data):
+        # JSON maps the repr of NaN and +-inf only in a column that holds one: each
+        # table has an all-finite column and one with non-finite cells at drawn rows,
+        # so a block can be all finite in one column and not in the other.
+        rows = data.draw(st.integers(1, 12))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        tu = data.draw(st.lists(finite, min_size=rows, max_size=rows))
+        snr = data.draw(st.lists(finite, min_size=rows, max_size=rows))
+        for row in data.draw(st.sets(st.integers(0, rows - 1), min_size=1)):
+            snr[row] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        columns = [("sample", np.arange(rows)), ("tu", np.array(tu)), ("snr", np.array(snr))]
+        step = data.draw(st.integers(1, rows))
+        _assert_blocks_match(columns, [(start, min(start + step, rows))
+                                       for start in range(0, rows, step)])
+
 
 # ---------------------------------------------------------------------------
 # The report and ood scores in sample blocks against the whole-tensor
@@ -886,3 +904,57 @@ def test_epjs_bytes_match_ordered_pair_reference(js_files, capsys, monkeypatch, 
     monkeypatch.setattr(measures, "pairwise_js", lambda ens: ordered_pair_js(ens.probs))
     assert run(capsys, *argv) == got
     assert got[0] == 0 and got[1]
+
+
+# ---------------------------------------------------------------------------
+# The CLI's malloc policy, against a fake mallopt.
+
+
+class TestAllocatorPolicy:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"):
+            monkeypatch.delenv(name, raising=False)
+        return calls
+
+    def test_sets_both_thresholds(self, calls):
+        cli._tune_allocator()
+        # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h.
+        assert calls == [(-3, 4 << 20), (-1, 64 << 20)]
+
+    def test_main_applies_it(self, calls, tmp_path):
+        assert main(["synth", "--samples", "3", "--classes", "2", "--members", "2",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert calls == [(-3, cli.MMAP_THRESHOLD), (-1, cli.TRIM_THRESHOLD)]
+
+    @pytest.mark.parametrize("name, value", [
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("MALLOC_TRIM_THRESHOLD_", "0"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=0"),
+    ])
+    def test_a_user_setting_wins(self, calls, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        cli._tune_allocator()
+        assert calls == []
+
+    def test_other_tunables_do_not_block_it(self, calls, monkeypatch):
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.pthread.rseq=0")
+        cli._tune_allocator()
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("error", [OSError, TypeError, None])
+    def test_no_mallopt_is_silent(self, monkeypatch, error):
+        def libc(name):
+            if error is not None:
+                raise error("no libc")
+            return object()  # a libc without mallopt, as on macOS
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", libc)
+        cli._tune_allocator()

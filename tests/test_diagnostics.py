@@ -23,7 +23,7 @@ from uqgate import (
 from uqgate.diagnostics import _midranks
 from uqgate.ept import EptValidationError
 
-from conftest import probs_tensor, random_probs
+from helpers import probs_tensor, random_probs
 
 
 def pairwise_auroc(neg, pos):

@@ -24,7 +24,7 @@ from uqgate import ept
 from uqgate.cli import main
 from uqgate.ept import KINDS, MAGIC, PRECISIONS, write_labels
 
-from conftest import logits_tensor, probs_tensor, random_probs
+from helpers import logits_tensor, probs_tensor, random_probs
 
 
 def roundtrip(tensor):
@@ -125,6 +125,25 @@ class TestWriteRead:
         with pytest.raises(EptFormatError, match="truncated payload: expected 672 bytes, got 671"):
             read_ept(Trickle(buffer.getvalue()[:-1]))
 
+    @pytest.mark.parametrize("layout", ["binary64", "binary32", "strided", "fortran"])
+    def test_payload_written_from_a_view_equals_tobytes(self, rng, layout):
+        from uqgate import PredictionTensor
+
+        data = random_probs(rng, 3, 6, 4)
+        tensor = make_tensor(data.astype(np.float32) if layout == "binary32" else data,
+                             kind="probs")
+        if layout == "strided":
+            tensor = PredictionTensor(tensor.manifest, np.repeat(tensor.data, 2, axis=1)[:, ::2])
+        elif layout == "fortran":
+            tensor = PredictionTensor(tensor.manifest, np.asfortranarray(tensor.data))
+        assert tensor.data.flags.c_contiguous == (layout in ("binary64", "binary32"))
+        header = tensor.manifest.to_json().encode("utf-8")
+        payload = np.ascontiguousarray(tensor.data, dtype=tensor.manifest.dtype).tobytes()
+        expected = MAGIC + struct.pack("<I", len(header)) + header + payload
+        buffer = io.BytesIO()
+        assert write_ept(tensor, buffer) == len(expected)
+        assert buffer.getvalue() == expected
+
     def test_write_refuses_bad_row_sum(self):
         bad = np.array([[[0.7, 0.7]]])
         with pytest.raises(EptValidationError, match="row sum"):
@@ -137,8 +156,10 @@ class TestWriteRead:
             precision="binary64",
         )
         tensor = PredictionTensor(manifest, np.ascontiguousarray(bad, dtype="<f8"))
+        sink = io.BytesIO()
         with pytest.raises(EptValidationError, match="row sum"):
-            write_ept(tensor, io.BytesIO())
+            write_ept(tensor, sink)
+        assert sink.getvalue() == b""  # validated before the first byte
 
     def test_write_refuses_nan(self):
         from uqgate import PredictionTensor

@@ -16,7 +16,7 @@ from uqgate import (
 )
 from uqgate.ept import EptValidationError
 
-from conftest import probs_tensor, random_probs
+from helpers import probs_tensor, random_probs
 
 K1 = GateConfig(k=1.0)
 

@@ -129,6 +129,24 @@ def test_cli_defaults_openblas_to_one_thread(preset, expected):
     assert _run_child(code, **env).strip() == expected
 
 
+def test_cli_import_leaves_the_allocator_alone():
+    # mallopt is looked up only when main runs; the lookup below proves the probe sees it.
+    code = ("import ctypes, os\n"
+            "looked = []\n"
+            "class Libc(ctypes.CDLL):\n"
+            "    def __getattr__(self, name):\n"
+            "        looked.append(name)\n"
+            "        return super().__getattr__(name)\n"
+            "ctypes.CDLL = Libc\n"
+            "import uqgate, uqgate.cli\n"
+            "print(looked.count('mallopt'))\n"
+            "for name in uqgate.cli._MALLOC_ENVIRONMENT + ('GLIBC_TUNABLES',):\n"
+            "    os.environ.pop(name, None)\n"
+            "uqgate.cli._tune_allocator()\n"
+            "print(looked.count('mallopt'))")
+    assert _run_child(code).split() == ["0", "1"]
+
+
 def test_bare_import_loads_no_numpy():
     code = "import sys, uqgate; print('numpy' in sys.modules)"
     assert _run_child(code).strip() == "False"

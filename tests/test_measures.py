@@ -24,7 +24,7 @@ from uqgate.gating import decompose_gated
 from uqgate.measures import decompose, pairwise_ce, pairwise_js, pairwise_kl
 from uqgate.stats import member_probs
 
-from conftest import ordered_pair_js, probs_tensor, random_probs
+from helpers import ordered_pair_js, probs_tensor, random_probs
 
 CLAMP = 1e-12
 

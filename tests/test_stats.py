@@ -1,13 +1,18 @@
 """Moments, softmax, entropy: closed forms and brute-force two-pass oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uqgate import ClassStats, Ensemble, entropy, make_tensor, softmax, softmax_tensor, stats
 from uqgate.ept import EptValidationError
 from uqgate.stats import member_probs
 
-from conftest import logits_tensor, old_softmax_tensor, probs_tensor, random_probs
+from helpers import logits_tensor, old_softmax, old_softmax_tensor, probs_tensor, random_probs
 
 
 def two_pass_moments(data):
@@ -66,6 +71,51 @@ class TestSoftmax:
             softmax(np.array([np.inf, 0.0]))
 
 
+class TestSoftmaxInPlace:
+    """softmax on one output array against the three-array formula it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_three_array_formula(self, data):
+        # Finite floats with the edges: -0.0, subnormals and +-the largest float (rows
+        # wider than the float range); float32 input is widened first, as before.
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+        logits = data.draw(hnp.arrays(
+            dtype, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+            elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False,
+                                         width=np.dtype(dtype).itemsize * 8),
+                               st.sampled_from([-0.0, 0.0, 1.0, -1.0]).map(
+                                   lambda v: dtype(v * np.finfo(dtype).max if abs(v) else v)))))
+        axis = data.draw(st.integers(-logits.ndim, logits.ndim - 1))
+        got = softmax(logits, axis=axis)
+        assert got.dtype == np.float64 and got.tobytes() == old_softmax(logits, axis).tobytes()
+
+    @pytest.mark.parametrize("logits, axis", [
+        (np.array([0.5, -2.0, 3.0]), -1),                        # 1-D
+        (np.array([[1.0, 2.0], [3.0, -4.0], [0.0, 0.5]]), 0),    # axis=0
+        (np.array([[1e308, -1e308, 0.0], [-1e308, 1e308, -0.0]]), -1),
+        (np.array([[-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]]), -1),
+    ])
+    def test_edge_inputs(self, logits, axis):
+        assert softmax(logits, axis=axis).tobytes() == old_softmax(logits, axis).tobytes()
+
+    def test_peak_is_one_output_array_plus_row_statistics(self, rng):
+        logits = rng.normal(size=(2000, 50))
+        out_bytes, row_bytes = logits.nbytes, 2000 * 8
+        softmax(logits)  # warm numpy's caches outside the traced call
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = softmax(logits)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == out_bytes
+        # Plus one ufunc buffer, for the broadcast row statistic; the three-array
+        # formula peaked at three output arrays.
+        assert peak <= out_bytes + 2 * row_bytes + np.getbufsize() * 8 + 4096
+
+
 class TestMoments:
     def test_identical_members(self, rng):
         row = random_probs(rng, 1, 4, 3)[0]
@@ -114,6 +164,20 @@ class TestMoments:
         np.testing.assert_allclose(stats.mu, mu, atol=1e-12)
         np.testing.assert_allclose(stats.sigma, sigma, atol=1e-12)
         assert stats.samples == 6 and stats.classes == 4
+
+
+class TestMemberProbsCopy:
+    @pytest.mark.parametrize("precision", [np.float64, np.float32])
+    def test_clipped_probs_equal_widened_then_clipped(self, rng, precision):
+        data = random_probs(rng, 4, 9, 5)
+        # Stored probs may leave [0, 1] by the container's slack, and carry -0.0.
+        data[0, 0] = [1.0 + 5e-7, -5e-7, 0.0, 0.0, 0.0]
+        data[1, 1] = [-0.0, 1.0, 0.0, -0.0, 0.0]
+        tensor = make_tensor(data.astype(precision), kind="probs")
+        ref = np.clip(tensor.data.astype(np.float64), 0, 1)
+        got = member_probs(tensor)
+        assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
+        assert member_probs(tensor, slice(2, 7)).tobytes() == ref[:, 2:7].tobytes()
 
 
 class TestSampleBlocks:

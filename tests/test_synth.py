@@ -12,8 +12,11 @@ from uqgate import (
     generate_collapse_series,
     read_ept,
     standard_decomposition,
+    synth,
     write_ept,
 )
+
+from helpers import old_softmax
 
 BASE = dict(samples=200, classes=5, members=8, s_signal=2.0, seed=17)
 
@@ -140,3 +143,29 @@ class TestCollapseSeries:
         b = generate_collapse_series(cfg)
         for (_, ta), (_, tb) in zip(a, b):
             assert ta.data.tobytes() == tb.data.tobytes()
+
+
+class TestInPlaceNoise:
+    """The member logits are scaled and shifted in place: every byte as z + s_noise * noise."""
+
+    @staticmethod
+    def old_member_logits(cfg, z, s_noise, epoch):
+        noise = synth._stream(cfg.seed, synth._STREAM_NOISE, epoch).standard_normal(
+            (cfg.members, cfg.samples, cfg.classes))
+        return z[None, :, :] + s_noise * noise
+
+    @pytest.mark.parametrize("s_noise", [0.0, 0.5, 3.75])
+    def test_static_tensors(self, s_noise):
+        cfg = SynthConfig(**{**BASE, "s_noise": s_noise})
+        probs, logits, _ = generate(cfg)
+        ref = self.old_member_logits(cfg, synth._true_logits(cfg), s_noise, 0)
+        assert logits.data.tobytes() == ref.tobytes()
+        assert probs.data.tobytes() == old_softmax(ref).tobytes()
+
+    def test_collapse_tensors(self):
+        cfg = SynthConfig(**{**BASE, "s_noise": 0.8}, mode="collapse", epochs=5, decay=0.6)
+        z = synth._true_logits(cfg)
+        for epoch, tensor in generate_collapse_series(cfg):
+            scale = cfg.s_noise * float(np.exp(-cfg.decay * epoch))
+            ref = old_softmax(self.old_member_logits(cfg, z, scale, epoch))
+            assert tensor.data.tobytes() == ref.tobytes()
