@@ -22,12 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ept import EptValidationError, PredictionTensor
-from .stats import LOG_CLAMP, softmax
+from .stats import LOG_CLAMP, class_sum_into, softmax
 
 T_MIN = 0.01
 T_MAX = 10.0
 GRID_POINTS = 64
 RELATIVE_WIDTH = 1e-4
+
+# Samples per work block of an NLL evaluation. At 20x2000x10, 1024-sample blocks
+# were 20-25% slower than one block of all 2000.
+WORK_SAMPLES = 4096
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -72,6 +76,13 @@ class _Nll:
     row maxima and label logits are taken once; the (N, C) softmax is never
     formed, as only each row's sum and label term enter the NLL.
 
+    The logits are copied classes first, (C, B, N), once. A call then works
+    through WORK_SAMPLES samples at a time in one (C, B, block) array, whose
+    class rows :func:`~uqgate.stats.class_sum_into` adds in place, in
+    numpy's order for a row of C. Classes first, a class row is one
+    contiguous (B, N) block when N fits one work block: at 20x2000x10 its
+    sum took half the time of the (B, C, N) layout's strided rows.
+
     ``pooled`` applies one temperature to every block and averages over all
     B * N samples, as over the blocks stacked as extra samples.
     """
@@ -88,30 +99,36 @@ class _Nll:
         labels = np.asarray(labels)
         if labels.shape != (samples,):
             raise ValueError(f"labels shape {labels.shape} does not match {samples} samples")
-        self.logits = logits
         # Row-major, so each block's mean sums its samples in the order the
         # scalar path does; fancy indexing may lay (B, N) out transposed.
         self.label = np.ascontiguousarray(logits[:, np.arange(samples), labels])
+        self.columns = np.ascontiguousarray(logits.transpose(2, 0, 1))
         self.count = 1 if pooled else logits.shape[0]
         # Work arrays, made once: the search calls this object about 84 times.
-        self._buffer = np.empty_like(logits)
-        self._maxes, self._sums, self._picked = (np.empty(self.label.shape) for _ in range(3))
+        width = min(samples, WORK_SAMPLES)
+        self._work = np.empty(self.columns.shape[:2] + (width,))
+        self._maxes, self._picked = (np.empty((logits.shape[0], width)) for _ in range(2))
+        self._losses = np.empty(self.label.shape)
 
     def __call__(self, temperatures: np.ndarray) -> np.ndarray:
         """Mean NLL per block, or one pooled mean, at (count,) temperatures."""
         t = np.asarray(temperatures, dtype=np.float64).reshape(-1, 1)
-        maxes = np.divide(self.rowmax, t, out=self._maxes)
-        shifted = np.divide(self.logits, t[..., None], out=self._buffer)
-        shifted -= maxes[..., None]
-        sums = np.exp(shifted, out=shifted).sum(axis=-1, out=self._sums)
-        picked = np.divide(self.label, t, out=self._picked)
-        picked -= maxes
-        np.exp(picked, out=picked)
-        picked /= sums
-        np.clip(picked, LOG_CLAMP, None, out=picked)
-        np.log(picked, out=picked)
-        np.negative(picked, out=picked)
-        return picked.reshape(self.count, -1).mean(axis=-1)
+        samples = self.label.shape[1]
+        for start in range(0, samples, WORK_SAMPLES):
+            stop = min(start + WORK_SAMPLES, samples)
+            width = stop - start
+            maxes = np.divide(self.rowmax[:, start:stop], t, out=self._maxes[:, :width])
+            shifted = np.divide(self.columns[..., start:stop], t, out=self._work[..., :width])
+            shifted -= maxes
+            sums = class_sum_into(np.exp(shifted, out=shifted), out=shifted[0])
+            picked = np.divide(self.label[:, start:stop], t, out=self._picked[:, :width])
+            picked -= maxes
+            np.exp(picked, out=picked)
+            picked /= sums
+            np.clip(picked, LOG_CLAMP, None, out=picked)
+            np.log(picked, out=picked)
+            np.negative(picked, out=self._losses[:, start:stop])
+        return self._losses.reshape(self.count, -1).mean(axis=-1)
 
 
 def _golden_sections(objective, lo: list[float], hi: list[float]) -> list[float]:

@@ -21,11 +21,12 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import gc
 import itertools
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 
 # uqgate calls no BLAS routine, and OpenBLAS's worker threads cost start-up time.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -365,8 +366,11 @@ def cmd_synth(args) -> int:
         print(f"wrote {args.out}_probs.ept, {args.out}_logits.ept, {args.out}_labels.csv",
               file=sys.stderr)
     else:
-        for epoch, tensor in synth._collapse_epochs(cfg):  # one epoch in memory at a time
-            write_ept_file(tensor, f"{args.out}_epoch{epoch:03d}.ept")
+        # closing: a failed write still joins the series' helper thread before main returns.
+        with closing(synth._collapse_epochs(cfg)) as series:
+            for epoch, tensor in series:  # one epoch in memory at a time
+                write_ept_file(tensor, f"{args.out}_epoch{epoch:03d}.ept")
+                del tensor  # freed before the next epoch's softmax
         print(f"wrote {cfg.epochs} epoch files under prefix {args.out}", file=sys.stderr)
     return 0
 
@@ -461,6 +465,9 @@ def _tune_allocator() -> None:
 
 def main(argv=None) -> int:
     _tune_allocator()
+    # The start-up heap lives to exit: leave it out of every collection, the
+    # several at exit included. Only main does this, as with the allocator.
+    gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

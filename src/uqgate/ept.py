@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, TextIO
 
 import numpy as np
@@ -158,11 +158,15 @@ class PredictionTensor:
 
     ``data`` has shape (members, samples, classes) and the dtype declared by
     the manifest. Construct via :func:`make_tensor` or :func:`read_ept`,
-    both of which validate.
+    both of which validate and return a read-only payload that nothing else
+    references, so the tensor stays valid and :func:`write_ept` need not
+    check it again. A tensor built directly is checked when written.
     """
 
     manifest: EptManifest
     data: np.ndarray
+    # Set only by make_tensor and read_ept, on the read-only payload they validated.
+    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -213,8 +217,24 @@ def make_tensor(
 
     Precision defaults to the array dtype (float32 -> binary32, anything
     else binary64); data is converted to the little-endian storage dtype.
+    The payload is read-only and never the caller's array: one the
+    conversion would keep as it is gets copied.
     """
-    data = np.asarray(data)
+    array = np.asarray(data)
+    return _adopt_tensor(array, kind, task, precision, epoch,
+                         owned=array is not data and array.base is None)
+
+
+def _adopt_tensor(
+    data: np.ndarray,
+    kind: str,
+    task: str = "multiclass",
+    precision: str | None = None,
+    epoch: int | None = None,
+    owned: bool = True,
+) -> PredictionTensor:
+    """:func:`make_tensor`, minus its copy when ``owned``: an array that nothing else
+    references becomes the read-only payload itself."""
     if data.ndim != 3:
         raise EptValidationError(f"expected (members, samples, classes) array, got ndim={data.ndim}")
     if precision is None:
@@ -228,8 +248,17 @@ def make_tensor(
         precision=precision,
         epoch=epoch,
     )
-    tensor = PredictionTensor(manifest, np.ascontiguousarray(data, dtype=manifest.dtype))
+    payload = np.ascontiguousarray(data, dtype=manifest.dtype)
+    if not owned and np.may_share_memory(payload, data):
+        payload = payload.copy()
+    return _sealed(PredictionTensor(manifest, payload))
+
+
+def _sealed(tensor: PredictionTensor) -> PredictionTensor:
+    """Validate a tensor, make its payload read-only and mark it validated."""
     tensor.validate()
+    tensor.data.flags.writeable = False
+    object.__setattr__(tensor, "_validated", True)
     return tensor
 
 
@@ -238,7 +267,8 @@ def write_ept(tensor: PredictionTensor, destination: BinaryIO) -> int:
 
     Refuses to write tensors that violate their own invariants.
     """
-    tensor.validate()
+    if not (tensor._validated and not tensor.data.flags.writeable):
+        tensor.validate()
     header = tensor.manifest.to_json().encode("utf-8")
     payload = np.ascontiguousarray(tensor.data, dtype=tensor.manifest.dtype)
     written = destination.write(MAGIC)
@@ -283,8 +313,7 @@ def read_ept(source: BinaryIO) -> PredictionTensor:
     data = np.frombuffer(payload, dtype=manifest.dtype).reshape(
         manifest.members, manifest.samples, manifest.classes
     )
-    _check_values(data, manifest)
-    return PredictionTensor(manifest, data)
+    return _sealed(PredictionTensor(manifest, data))
 
 
 def _read_up_to(source: BinaryIO, size: int) -> bytearray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .ept import PredictionTensor
 from .gating import Decomposition
-from .stats import LOG_CLAMP, Ensemble, blockwise, class_sum, entropy
+from .stats import LOG_CLAMP, Ensemble, blockwise, class_sum_into, entropy
 from .stats import member_probs  # noqa: F401  (kept bound here: perfbench's tracer wraps it)
 
 # Partner rows per mixture step of pairwise_js. At 20x20000x10: 1 row 0.24 s,
@@ -57,29 +57,32 @@ def pairwise_js(ens: Ensemble) -> np.ndarray:
     entropy (H_ij = H_ji bit for bit: IEEE addition commutes) is computed
     once and summed in ordered-pair order. The view is expected to be a
     sample block of :func:`~uqgate.stats.ensemble_blocks`, which bounds the
-    (M, M, B) and (M, C, B) arrays here. It is copied class-major once, so
-    every mixture step is a contiguous row op and
-    :func:`~uqgate.stats.class_sum` adds the class terms in numpy's own
-    order; self pairs are member entropies, as (p + p) / 2 == p.
+    (M, M, B) and (C, M, B) arrays here. It is copied classes first once, so
+    every mixture step is a row op over whole class rows and
+    :func:`~uqgate.stats.class_sum_into` adds the class terms in numpy's own
+    order, in place in the step's scratch; self pairs are member entropies,
+    as (p + p) / 2 == p.
     """
     m, b, c = ens.probs.shape
     member_h = ens.member_entropy
-    rows = np.ascontiguousarray(ens.probs.transpose(0, 2, 1))  # (M, C, B)
-    mix = np.empty((JS_ROWS, c, b))
-    terms = np.empty((JS_ROWS, c, b))
+    rows = np.ascontiguousarray(ens.probs.transpose(2, 0, 1))  # (C, M, B)
+    mix = np.empty((c, JS_ROWS, b))
+    terms = np.empty((c, JS_ROWS, b))
     h = np.empty((m, m, b))  # h[i, j] = H((p_i + p_j) / 2)
     diagonal = np.arange(m)
     h[diagonal, diagonal] = member_h
     for i in range(m):
         for lo in range(i + 1, m, JS_ROWS):
             hi = min(lo + JS_ROWS, m)
-            mx, tx = mix[:hi - lo], terms[:hi - lo]
-            np.add(rows[i], rows[lo:hi], out=mx)
+            mx, tx = mix[:, :hi - lo], terms[:, :hi - lo]
+            np.add(rows[:, i, None], rows[:, lo:hi], out=mx)
             mx *= 0.5
             np.maximum(mx, LOG_CLAMP, out=tx)
             np.log(tx, out=tx)
             tx *= mx
-            h[i, lo:hi] = h[lo:hi, i] = -class_sum(tx)
+            hx = class_sum_into(tx, out=h[i, lo:hi])  # tx is scratch here
+            np.negative(hx, out=hx)
+            h[lo:hi, i] = hx
     mix_h_total = np.zeros(b)
     for per_i in h.sum(axis=1):
         mix_h_total += per_i

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ept import EptValidationError, PredictionTensor, make_tensor
+from .ept import EptValidationError, PredictionTensor, _adopt_tensor
 
 # Clamp applied inside logarithms only: perturbs entropy by < 3e-11 nats per
 # class while keeping one-hot rows finite.
@@ -59,32 +59,51 @@ def class_sum(x: np.ndarray) -> np.ndarray:
     Adds in exactly numpy's order for a contiguous last axis (its pairwise
     sum), so ``class_sum(x)`` is bit-identical to
     ``np.ascontiguousarray(x.swapaxes(-1, -2)).sum(-1)``, signed zeros included.
+    ``x`` is left as it was; :func:`class_sum_into` is the in-place form.
     """
-    return 0.0 + _pairwise_rows(x)  # numpy's reduce starts from +0.0: -0.0 sums become +0.0
+    scratch = np.moveaxis(np.asarray(x, dtype=np.float64), -2, 0).copy()
+    return class_sum_into(scratch, np.empty(scratch.shape[1:]))
 
 
-def _pairwise_rows(x: np.ndarray) -> np.ndarray:
+def class_sum_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of a classes-first (C, ...) float64 array into ``out``, in place.
+
+    The same additions in the same order as :func:`class_sum`, so the result
+    is bit-identical to numpy's sum over a contiguous class axis. ``x`` is
+    the scratch: it is overwritten and nothing is allocated, so a loop that
+    refills one work array sums it for free. With the classes first, each
+    class row of a C-contiguous ``x`` is one contiguous block. Returns ``out``.
+    """
+    _pairwise_rows_into(x, out)
+    out += 0.0  # numpy's reduce starts from +0.0: -0.0 sums become +0.0
+    return out
+
+
+def _pairwise_rows_into(x: np.ndarray, out: np.ndarray) -> None:
     # numpy's pairwise_sum: in sequence under 8 terms, 8 unrolled accumulators
-    # up to 128, else split at n // 2 rounded down to a multiple of 8.
-    n = x.shape[-2]
+    # up to 128, else split at n // 2 rounded down to a multiple of 8. The
+    # partial sums go into rows of x already added, so ``out`` may be x[0].
+    n = len(x)
     if n < 8:
-        total = np.zeros(x.shape[:-2] + x.shape[-1:])
-        for c in range(n):
-            total += x[..., c, :]
-        return total
+        np.add(x[0], 0.0, out=out)
+        for c in range(1, n):
+            out += x[c]
+        return
     if n <= 128:
         full = n - n % 8
-        acc = x[..., :8, :] if full == 8 else x[..., :8, :] + x[..., 8:16, :]
-        for c in range(16, full, 8):
-            acc += x[..., c:c + 8, :]
-        pairs = acc[..., 0::2, :] + acc[..., 1::2, :]  # r0+r1, r2+r3, r4+r5, r6+r7
-        quads = pairs[..., 0::2, :] + pairs[..., 1::2, :]
-        total = quads[..., 0, :] + quads[..., 1, :]
+        acc = x[:8]
+        for c in range(8, full, 8):
+            acc += x[c:c + 8]
+        np.add(acc[0::2], acc[1::2], out=acc[0::2])  # r0+r1, r2+r3, r4+r5, r6+r7
+        np.add(acc[0::4], acc[2::4], out=acc[0::4])
+        np.add(acc[0], acc[4], out=out)
         for c in range(full, n):
-            total += x[..., c, :]
-        return total
+            out += x[c]
+        return
     half = n // 2 - (n // 2) % 8
-    return _pairwise_rows(x[..., :half, :]) + _pairwise_rows(x[..., half:, :])
+    _pairwise_rows_into(x[:half], out)
+    _pairwise_rows_into(x[half:], x[half])
+    out += x[half]
 
 
 def member_probs(tensor: PredictionTensor, samples: slice = slice(None)) -> np.ndarray:
@@ -141,8 +160,8 @@ def softmax_tensor(tensor: PredictionTensor) -> PredictionTensor:
     """Convert a logits tensor to a binary64 probs tensor via row softmax."""
     if tensor.manifest.kind != "logits":
         raise EptValidationError("softmax_tensor expects kind=logits")
-    return make_tensor(
-        member_probs(tensor),
+    return _adopt_tensor(
+        member_probs(tensor),  # a fresh array: it becomes the payload
         kind="probs",
         task=tensor.manifest.task,
         precision="binary64",

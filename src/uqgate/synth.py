@@ -18,12 +18,13 @@ and identical configurations yield bit-identical tensors on any machine.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ept import PredictionTensor, make_tensor
+from .ept import PredictionTensor, _adopt_tensor
 from .stats import softmax
 
 _STREAM_SIGNAL = 1
@@ -77,10 +78,10 @@ def _true_logits(cfg: SynthConfig) -> np.ndarray:
     )
 
 
-def _member_logits(cfg: SynthConfig, z: np.ndarray, s_noise: float, epoch: int) -> np.ndarray:
+def _member_logits(cfg: SynthConfig, z: np.ndarray, s_noise: float, epoch: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     noise = _stream(cfg.seed, _STREAM_NOISE, epoch).standard_normal(
-        (cfg.members, cfg.samples, cfg.classes)
-    )
+        (cfg.members, cfg.samples, cfg.classes), out=out)
     # In place, and bit-identical to z + s_noise * noise: IEEE addition commutes.
     noise *= s_noise
     noise += z
@@ -103,8 +104,8 @@ def generate(cfg: SynthConfig) -> tuple[PredictionTensor, PredictionTensor, np.n
     logits = _member_logits(cfg, z, cfg.s_noise, epoch=0)
     probs = softmax(logits)
     return (
-        make_tensor(probs, kind="probs", precision="binary64"),
-        make_tensor(logits, kind="logits", precision="binary64"),
+        _adopt_tensor(probs, kind="probs", precision="binary64"),
+        _adopt_tensor(logits, kind="logits", precision="binary64"),
         _draw_labels(cfg, z),
     )
 
@@ -119,12 +120,57 @@ def generate_collapse_series(cfg: SynthConfig) -> list[tuple[int, PredictionTens
 
 
 def _collapse_epochs(cfg: SynthConfig) -> Iterator[tuple[int, PredictionTensor]]:
-    """The (epoch, tensor) pairs of :func:`generate_collapse_series`, one at a time."""
+    """The (epoch, tensor) pairs of :func:`generate_collapse_series`, one at a time.
+
+    A helper thread, one per epoch, draws epoch e + 1's member logits into the
+    other of two buffers while epoch e is softmaxed and handed on; the Philox
+    fill releases the GIL, so the draw overlaps that work. The helper runs
+    only private code, and every draw is the one a serial loop makes.
+    """
     cfg.validate()
     if cfg.mode != "collapse":
         raise ValueError("generate_collapse_series requires mode='collapse'")
     z = _true_logits(cfg)
-    for epoch in range(cfg.epochs):
+    shape = (cfg.members, cfg.samples, cfg.classes)
+    buffers = [np.empty(shape), np.empty(shape) if cfg.epochs > 1 else None]
+
+    def draw(epoch: int) -> None:
         scale = cfg.s_noise * float(np.exp(-cfg.decay * epoch))
-        probs = softmax(_member_logits(cfg, z, scale, epoch))
-        yield epoch, make_tensor(probs, kind="probs", precision="binary64", epoch=epoch)
+        _member_logits(cfg, z, scale, epoch, out=buffers[epoch % 2])
+
+    draw(0)
+    ahead = None
+    try:
+        for epoch in range(cfg.epochs):
+            if ahead is not None:
+                ahead.result()  # epoch's logits are drawn, or the draw's error is raised here
+            ahead = _Ahead(draw, epoch + 1) if epoch + 1 < cfg.epochs else None
+            # Bound to no name here: a consumer that drops each tensor holds one at a time.
+            yield epoch, _adopt_tensor(softmax(buffers[epoch % 2]), kind="probs",
+                                       precision="binary64", epoch=epoch)
+    finally:
+        if ahead is not None:
+            ahead.join()  # a closed or failed series leaves no thread behind
+
+
+class _Ahead:
+    """One call running on a helper thread; :meth:`result` raises its error in the caller."""
+
+    def __init__(self, fn, *args):
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._run, args=(fn, args), daemon=True)
+        self._thread.start()
+
+    def _run(self, fn, args) -> None:
+        try:
+            fn(*args)
+        except BaseException as exc:  # handed to the caller by result()
+            self._error = exc
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def result(self) -> None:
+        self.join()
+        if self._error is not None:
+            raise self._error

@@ -52,3 +52,26 @@ def ordered_pair_js(probs):
     for i in range(m):
         mix_h_total += entropy_rows((probs[i][None, :, :] + probs) / 2.0).sum(axis=0)
     return mix_h_total / (m * m) - entropy_rows(probs).mean(axis=0)
+
+
+class RowMajorNll:
+    """calibration._Nll as whole (B, N, C) arrays summed along their last axis.
+
+    The reference for the class-major work blocks of _Nll: the same call
+    interface, so calibration._search can drive either, and every loss must
+    match bit for bit.
+    """
+
+    def __init__(self, logits, labels, pooled=False):
+        self.logits = np.asarray(logits, dtype=np.float64)
+        samples = self.logits.shape[1]
+        self.label = np.ascontiguousarray(self.logits[:, np.arange(samples), labels])
+        self.count = 1 if pooled else self.logits.shape[0]
+
+    def __call__(self, temperatures):
+        t = np.asarray(temperatures, dtype=np.float64).reshape(-1, 1)
+        maxes = self.logits.max(axis=-1) / t
+        sums = np.exp(self.logits / t[..., None] - maxes[..., None]).sum(axis=-1)
+        picked = np.exp(self.label / t - maxes) / sums
+        losses = -np.log(np.clip(picked, 1e-12, None))
+        return losses.reshape(self.count, -1).mean(axis=-1)

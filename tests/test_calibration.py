@@ -18,8 +18,10 @@ from uqgate import (
     nll,
     softmax,
 )
-from uqgate.calibration import _Nll, fit_global, temperature_grid
+from uqgate.calibration import WORK_SAMPLES, _Nll, _search, fit_global, temperature_grid
 from uqgate.ept import EptValidationError
+
+from helpers import RowMajorNll
 
 
 def calibrated_fixture(n=4000, c=10, seed=3):
@@ -360,3 +362,48 @@ class TestNllWorkArrays:
         # A (count, N) float64 array: the work arrays, (M, N) each, were 3-4 such arrays
         # per call before they were made once. What remains is a ufunc buffer at most.
         assert peak < count * logits.shape[1] * 8
+
+
+# ---------------------------------------------------------------------------
+# _Nll works on a class-major copy, one block of samples at a time: every
+# loss, and so every fit, is the row-major formula's bit for bit.
+
+
+@st.composite
+def _nll_cases(draw):
+    samples = draw(st.one_of(
+        st.integers(1, 40),
+        st.integers(2 * WORK_SAMPLES - 2, 2 * WORK_SAMPLES + 2),
+        st.sampled_from([WORK_SAMPLES - 1, WORK_SAMPLES, WORK_SAMPLES + 1])))
+    classes = draw(st.integers(2, 130))
+    # At most about 3 M logits per case: big blocks take one or two members.
+    members = draw(st.integers(1, max(1, min(4, 3_000_000 // (samples * classes)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = draw(st.sampled_from([1e-3, 1.0, 30.0])) * rng.normal(
+        size=(members, samples, classes))
+    if draw(st.booleans()):  # binary32 logits, as calibrate widens them
+        logits = logits.astype(np.float32).astype(np.float64)
+    labels = rng.integers(0, classes, size=samples)
+    pooled = draw(st.booleans())
+    temperatures = [np.exp(rng.uniform(math.log(0.01), math.log(10.0), 1 if pooled else members))
+                    for _ in range(3)]
+    return logits, labels, pooled, temperatures
+
+
+class TestClassMajorNll:
+    @given(case=_nll_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_row_major_formula(self, case):
+        logits, labels, pooled, temperatures = case
+        loss, reference = _Nll(logits, labels, pooled), RowMajorNll(logits, labels, pooled)
+        for t in temperatures:
+            assert loss(t).tobytes() == reference(t).tobytes()
+
+    @pytest.mark.parametrize("samples", [2000, 20000])
+    def test_search_fits_equal_row_major_fits(self, samples):
+        logits, labels = TestNllWorkArrays.logits_and_labels(members=20, samples=samples)
+        for pooled in ((False, True) if samples == 2000 else (False,)):
+            got = _search(_Nll(logits, labels, pooled))
+            want = _search(RowMajorNll(logits, labels, pooled))
+            for a, b in zip(_fields(got), _fields(want)):
+                assert np.array_equal(a, b)

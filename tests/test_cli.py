@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 import weakref
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqgate import (
-    UNCERTAIN, GateConfig, SynthConfig, cli, gating, generate, generate_collapse_series,
+    UNCERTAIN, GateConfig, SynthConfig, cli, ept, gating, generate, generate_collapse_series,
     make_tensor, margin, measures, softmax, stats, synth, write_ept_file,
 )
 from uqgate.cli import main
@@ -314,6 +315,32 @@ class TestSynthCommand:
             write_ept_file(tensor, tmp_path / "ref.ept")
             assert ((tmp_path / f"col_epoch{epoch:03d}.ept").read_bytes()
                     == (tmp_path / "ref.ept").read_bytes())
+
+    def test_collapse_series_validates_each_tensor_once(self, tmp_path, capsys, monkeypatch):
+        checks = []
+        check = ept._check_values
+        monkeypatch.setattr(ept, "_check_values",
+                            lambda data, manifest: checks.append(1) or check(data, manifest))
+        code, _, _ = run(
+            capsys, "synth", "--samples", 6, "--classes", 3, "--members", 2,
+            "--mode", "collapse", "--epochs", 20, "--seed", 5, "--out", tmp_path / "col",
+        )
+        assert code == 0
+        assert len(checks) == 20  # at make time only: write_ept trusts the sealed tensor
+
+    def test_failed_epoch_write_exits_cleanly(self, tmp_path, capsys):
+        (tmp_path / "col_epoch002.ept").mkdir()  # the third epoch cannot be written
+        before = threading.active_count()
+        code, out, err = run(
+            capsys, "synth", "--samples", 8, "--classes", 3, "--members", 2,
+            "--mode", "collapse", "--epochs", 6, "--seed", 5, "--out", tmp_path / "col",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert threading.active_count() == before
+        assert sorted(p.name for p in tmp_path.glob("col_epoch*.ept") if p.is_file()) == [
+            "col_epoch000.ept", "col_epoch001.ept"]
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         for prefix in ("a", "b"):

@@ -174,6 +174,48 @@ class TestWriteRead:
             write_ept(tensor, io.BytesIO())
 
 
+class TestValidatedOnce:
+    """make_tensor and read_ept hand out read-only payloads that write_ept trusts."""
+
+    def test_read_payload_is_read_only(self, rng):
+        loaded = roundtrip(probs_tensor(random_probs(rng, 2, 3, 4)))
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.data[0, 0, 0] = np.nan
+
+    @pytest.mark.parametrize("source", ["float64", "float32", "list", "view"])
+    def test_made_payload_is_read_only_and_not_the_callers(self, rng, source):
+        data = rng.normal(size=(2, 3, 4))
+        given = {"float64": data, "float32": data.astype(np.float32), "list": data.tolist(),
+                 "view": np.repeat(data, 2, axis=0)[::2]}[source]
+        tensor = make_tensor(given, kind="logits")
+        with pytest.raises(ValueError, match="read-only"):
+            tensor.data[0, 0, 0] = np.nan
+        before = tensor.data.tobytes()
+        if isinstance(given, np.ndarray):
+            assert given.flags.writeable
+            given[...] = np.nan
+        assert tensor.data.tobytes() == before
+
+    def test_write_skips_the_check_only_for_a_sealed_payload(self, rng, monkeypatch):
+        checks = []
+        check = ept._check_values
+        monkeypatch.setattr(ept, "_check_values",
+                            lambda data, manifest: checks.append(1) or check(data, manifest))
+        tensor = make_tensor(rng.normal(size=(2, 3, 4)), kind="logits")
+        assert len(checks) == 1
+        write_ept(tensor, io.BytesIO())
+        assert len(checks) == 1
+        from uqgate import PredictionTensor
+
+        write_ept(PredictionTensor(tensor.manifest, tensor.data), io.BytesIO())
+        assert len(checks) == 2
+        # A payload made writable again is no longer trusted.
+        tensor.data.flags.writeable = True
+        tensor.data[0, 0, 0] = np.nan
+        with pytest.raises(EptValidationError, match="NaN or Inf"):
+            write_ept(tensor, io.BytesIO())
+
+
 class TestReadRejects:
     def test_bad_magic(self):
         raw = valid_file_bytes()

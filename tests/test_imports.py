@@ -147,6 +147,16 @@ def test_cli_import_leaves_the_allocator_alone():
     assert _run_child(code).split() == ["0", "1"]
 
 
+def test_cli_main_freezes_the_start_up_heap(tmp_path):
+    # gc.freeze runs in main, not at import: importing uqgate.cli leaves a host's collector alone.
+    code = ("import gc, uqgate.cli\n"
+            "print(gc.get_freeze_count())\n"
+            "uqgate.cli.main(['synth', '--samples', '4', '--classes', '2', '--members', '1',\n"
+            f"                 '--out', {str(tmp_path / 'fix')!r}])\n"
+            "print(gc.get_freeze_count() > 0)")
+    assert _run_child(code).split() == ["0", "True"]
+
+
 def test_bare_import_loads_no_numpy():
     code = "import sys, uqgate; print('numpy' in sys.modules)"
     assert _run_child(code).strip() == "False"

@@ -275,6 +275,59 @@ class TestClassSum:
             assert total.tobytes() == np.zeros(3).tobytes()
 
 
+class TestClassSumInto:
+    """The in-place core over a classes-first (C, ...) array: numpy's every bit."""
+
+    @staticmethod
+    def numpy_sum(x):
+        return np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(-1)
+
+    @pytest.mark.parametrize("classes", [*range(1, 18), 31, 100, 128, 129, 257])
+    def test_bit_identical_to_numpy_last_axis_sum(self, rng, classes):
+        shape = (classes, 3, 7)
+        cases = [
+            rng.choice(_HOSTILE_VALUES, size=shape),
+            rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, size=shape),
+            rng.choice([0.0, -0.0], size=shape),
+            np.full(shape, -0.0),
+        ]
+        for x in cases:
+            for view in (x, x[:, 0]):  # (C, ..., B) and (C, B)
+                want = self.numpy_sum(view)
+                out = np.empty(want.shape)
+                got = stats.class_sum_into(view.copy(), out)
+                assert got is out
+                assert out.tobytes() == want.tobytes()
+
+    def test_out_may_be_a_strided_view(self, rng):
+        x = rng.standard_normal((10, 4, 6))
+        target = np.full((4, 20), np.nan)
+        stats.class_sum_into(x.copy(), target[:, 3:9])
+        assert target[:, 3:9].tobytes() == self.numpy_sum(x).tobytes()
+        assert np.isnan(target[:, :3]).all() and np.isnan(target[:, 9:]).all()
+
+    def test_class_sum_leaves_its_argument_alone(self, rng):
+        x = rng.standard_normal((2, 40, 5))
+        before = x.tobytes()
+        stats.class_sum(x)
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("classes", [5, 10, 129])
+    def test_allocates_less_than_one_output_array(self, rng, classes):
+        x = rng.standard_normal((classes, 16, 2048))
+        out = np.empty((16, 2048))
+        stats.class_sum_into(x.copy(), out)
+        work = x.copy()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stats.class_sum_into(work, out)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes
+
+
 class TestSoftmaxTensor:
     def test_converts_kind_and_task(self, rng):
         tensor = logits_tensor(rng.normal(size=(3, 4, 5)), epoch=2)

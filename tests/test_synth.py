@@ -1,6 +1,8 @@
 """Synthetic generator: determinism, validity, noise scaling, collapse decay."""
 
 import io
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -169,3 +171,54 @@ class TestInPlaceNoise:
             scale = cfg.s_noise * float(np.exp(-cfg.decay * epoch))
             ref = old_softmax(self.old_member_logits(cfg, z, scale, epoch))
             assert tensor.data.tobytes() == ref.tobytes()
+
+
+class TestHelperThread:
+    """Collapse epochs are drawn one ahead on a helper thread: every byte as a serial loop."""
+
+    @pytest.mark.parametrize("members", [1, 2, 3])
+    @pytest.mark.parametrize("epochs", [1, 2, 3, 4, 5])
+    def test_bit_identical_to_serial_formula(self, epochs, members):
+        cfg = SynthConfig(samples=30, classes=4, members=members, s_noise=0.7, seed=9,
+                          mode="collapse", epochs=epochs, decay=0.5)
+        z = synth._true_logits(cfg)
+        series = generate_collapse_series(cfg)
+        assert [epoch for epoch, _ in series] == list(range(epochs))
+        for epoch, tensor in series:
+            scale = cfg.s_noise * float(np.exp(-cfg.decay * epoch))
+            ref = old_softmax(TestInPlaceNoise.old_member_logits(cfg, z, scale, epoch))
+            assert tensor.data.tobytes() == ref.tobytes()
+
+    def test_helper_error_is_raised_in_the_caller(self, monkeypatch):
+        draw = synth._member_logits
+
+        def failing(cfg, z, s_noise, epoch, out=None):
+            if epoch == 2:
+                raise MemoryError("epoch 2 draw failed")
+            return draw(cfg, z, s_noise, epoch, out)
+
+        monkeypatch.setattr(synth, "_member_logits", failing)
+        before = threading.active_count()
+        got = []
+        with pytest.raises(MemoryError, match="epoch 2 draw failed"):
+            for epoch, _ in synth._collapse_epochs(
+                    SynthConfig(**BASE, mode="collapse", epochs=5)):
+                got.append(epoch)
+        assert got == [0, 1]
+        assert threading.active_count() == before
+
+    def test_closed_series_joins_its_helper(self, monkeypatch):
+        draw = synth._member_logits
+
+        def slow(cfg, z, s_noise, epoch, out=None):
+            if epoch == 1:
+                time.sleep(0.3)  # still drawing when the consumer walks away
+            return draw(cfg, z, s_noise, epoch, out)
+
+        monkeypatch.setattr(synth, "_member_logits", slow)
+        before = threading.active_count()
+        series = synth._collapse_epochs(SynthConfig(**BASE, mode="collapse", epochs=4))
+        assert next(series)[0] == 0
+        assert threading.active_count() == before + 1
+        series.close()
+        assert threading.active_count() == before
