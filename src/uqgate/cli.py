@@ -57,10 +57,9 @@ _MALLOC_ENVIRONMENT = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
 _INT_COLUMNS = ("sample", "decision", "correct", "epoch", "collapse")
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> json
 
-OOD_MEASURES = (
-    "tu", "au", "eu", "epce", "epkl", "epjs", "gmu",
-    "gated_tu", "gated_au", "gated_eu",
-)
+# report and ood print entries of measures.SCORES; report names a trio's columns by part.
+_TRIO = ("tu", "au", "eu")
+OOD_MEASURES = tuple(measures.SCORES)
 
 
 def _fmt(value: float) -> str:
@@ -120,27 +119,17 @@ def _require_multiclass(tensor: PredictionTensor, command: str) -> None:
 
 def _report_rows(tensor, labels, configs):
     """The report's columns, one list of (name, values) per sample block."""
-    eps = configs[0].epsilon
+    first = configs[0]  # its k also drives the decision column
     for start, stop, ens in ensemble_blocks(tensor):
-        std = measures.decompose(ens)
-        gmu, _ = margin.gmu_multiclass(ens.stats, eps=eps)
-        decisions = margin.decide_multiclass(ens.stats, k=configs[0].k, eps=eps)
-
+        decisions = margin.decide_multiclass(ens.stats, k=first.k, eps=first.epsilon)
         columns = [("sample", np.arange(start, stop))]
-        columns += [("tu", std.tu), ("au", std.au), ("eu", std.eu)]
+        columns += zip(_TRIO, measures.block_scores(ens, _TRIO, first))
         for cfg in configs:
-            suffix = _k_suffix(cfg.k)
-            dec = gating.decompose_gated(ens, cfg)
-            columns += [(f"tu_{suffix}", dec.tu), (f"au_{suffix}", dec.au),
-                        (f"eu_{suffix}", dec.eu)]
-        columns += [
-            ("gmu", gmu),
-            ("snr", decisions.snr),
-            ("decision", decisions.decision),
-            ("epce", measures.pairwise_ce(ens)),
-            ("epkl", measures.pairwise_kl(ens)),
-            ("epjs", measures.pairwise_js(ens)),
-        ]
+            gated = measures.block_scores(ens, [f"gated_{part}" for part in _TRIO], cfg)
+            columns += zip([f"{part}_{_k_suffix(cfg.k)}" for part in _TRIO], gated)
+        gmu, epce, epkl, epjs = measures.block_scores(ens, ("gmu", "epce", "epkl", "epjs"), first)
+        columns += [("gmu", gmu), ("snr", decisions.snr), ("decision", decisions.decision),
+                    ("epce", epce), ("epkl", epkl), ("epjs", epjs)]
         if labels is not None:
             columns.append(("correct", (decisions.top1 == labels[start:stop]).astype(np.int64)))
         yield columns
@@ -275,22 +264,13 @@ def cmd_calibrate(args) -> int:
         raise ValueError("calibration requires a logits tensor (kind=logits)")
     _require_multiclass(tensor, "calibrate")
     labels = read_labels_file(args.labels, tensor.manifest)
-    if args.per_member:
-        fit = calibration.fit_per_member(tensor, labels)
-        payload = {
-            "temperatures": [float(t) for t in fit.temperature],
-            "nll_before": [float(v) for v in fit.nll_before],
-            "nll_after": [float(v) for v in fit.nll_after],
-        }
-    else:
-        fit = calibration.fit_global(tensor, labels)
-        payload = {
-            "temperature": float(fit.temperature),
-            "nll_before": float(fit.nll_before),
-            "nll_after": float(fit.nll_after),
-        }
+    fitter = calibration.fit_per_member if args.per_member else calibration.fit_global
+    fit = fitter(tensor, labels)
+    payload = {"temperatures" if args.per_member else "temperature": fit.temperature,
+               "nll_before": fit.nll_before, "nll_after": fit.nll_after}
     with _open_output(args.output) as out:
-        json.dump(payload, out, indent=2)
+        # As Python floats: a list of one per member, or one for all members.
+        json.dump({k: np.asarray(v).tolist() for k, v in payload.items()}, out, indent=2)
         out.write("\n")
     return 0
 
@@ -303,26 +283,7 @@ def _ood_scores(tensor: PredictionTensor, names, k: float, eps: float) -> list[n
     """The named scores of one file, computed one sample block at a time."""
     _require_multiclass(tensor, "ood")
     cfg = gating.GateConfig(k=k, epsilon=eps)
-    return blockwise(tensor, lambda ens: _block_scores(ens, names, cfg))
-
-
-def _block_scores(ens, names, cfg: gating.GateConfig) -> list[np.ndarray]:
-    """The named scores of one block, all read from its view."""
-    std = functools.cache(lambda: measures.decompose(ens))
-    gated = functools.cache(lambda: gating.decompose_gated(ens, cfg))
-    score = {
-        "tu": lambda: std().tu,
-        "au": lambda: std().au,
-        "eu": lambda: std().eu,
-        "epce": lambda: measures.pairwise_ce(ens),
-        "epkl": lambda: measures.pairwise_kl(ens),
-        "epjs": lambda: measures.pairwise_js(ens),
-        "gmu": lambda: margin.gmu_multiclass(ens.stats, eps=cfg.epsilon)[0],
-        "gated_tu": lambda: gated().tu,
-        "gated_au": lambda: gated().au,
-        "gated_eu": lambda: gated().eu,
-    }
-    return [score[name]() for name in names]
+    return blockwise(tensor, functools.partial(measures.block_scores, names=names, cfg=cfg))
 
 
 def cmd_ood(args) -> int:
@@ -465,9 +426,6 @@ def _tune_allocator() -> None:
 
 def main(argv=None) -> int:
     _tune_allocator()
-    # The start-up heap lives to exit: leave it out of every collection, the
-    # several at exit included. Only main does this, as with the allocator.
-    gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -476,5 +434,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The program: ``main`` in a process of its own (``python -m uqgate.cli``, ``uqgate``).
+
+    Its start-up heap lives to exit, so it is left out of every collection,
+    the several at exit included. A program that calls ``main`` keeps its own.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -128,16 +128,7 @@ class EptManifest:
         unknown = fields.keys() - required - {"epoch"}
         if unknown:
             raise EptFormatError(f"manifest has unknown fields: {sorted(unknown)}")
-        manifest = cls(
-            kind=fields["kind"],
-            task=fields["task"],
-            members=fields["members"],
-            samples=fields["samples"],
-            classes=fields["classes"],
-            precision=fields["precision"],
-            epoch=fields.get("epoch"),
-            version=fields["version"],
-        )
+        manifest = cls(**fields)  # every key is a field: checked above
         manifest.validate()
         return manifest
 
@@ -363,15 +354,16 @@ def read_labels(source: TextIO, manifest: EptManifest) -> np.ndarray:
         )
     if manifest.task == "multiclass":
         labels = np.empty(manifest.samples, dtype=np.int64)
+        widest = len(str(manifest.classes - 1))  # checked first: int() refuses 4301 digits
         for row, line in enumerate(lines):
             if not (line.isascii() and line.isdigit()):
                 raise EptValidationError(f"line {row + 1}: {line!r} is not an ASCII integer")
-            value = int(line)
-            if not 0 <= value < manifest.classes:
+            digits = line.lstrip("0") or "0"
+            if len(digits) > widest or int(digits) >= manifest.classes:
                 raise EptValidationError(
-                    f"line {row + 1}: class index {value} out of range [0, {manifest.classes})"
+                    f"line {row + 1}: class index {digits} out of range [0, {manifest.classes})"
                 )
-            labels[row] = value
+            labels[row] = int(digits)
         return labels
 
     labels = np.empty((manifest.samples, manifest.classes), dtype=np.int64)

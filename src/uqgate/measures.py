@@ -11,15 +11,18 @@ rows stay large but finite (about 27.6 nats).
 
 Each measure is computed from one sample block's shared
 :class:`~uqgate.stats.Ensemble` view; the functions taking a tensor map it
-over the tensor's blocks with :func:`~uqgate.stats.blockwise`.
+over the tensor's blocks with :func:`~uqgate.stats.blockwise`. A block's
+named scores, standard and gated TU/AU/EU, EPCE/EPKL/EPJS and GMU, form one
+table, :data:`SCORES`, that the CLI's report and ood select from.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import gating, margin
 from .ept import PredictionTensor
-from .gating import Decomposition
+from .gating import Decomposition, GateConfig
 from .stats import LOG_CLAMP, Ensemble, blockwise, class_sum_into, entropy
 from .stats import member_probs  # noqa: F401  (kept bound here: perfbench's tracer wraps it)
 
@@ -87,6 +90,38 @@ def pairwise_js(ens: Ensemble) -> np.ndarray:
     for per_i in h.sum(axis=1):
         mix_h_total += per_i
     return mix_h_total / (m * m) - member_h.mean(axis=0)
+
+
+def _standard(ens: Ensemble, cfg: GateConfig) -> Decomposition:
+    return decompose(ens)
+
+
+def _gated(ens: Ensemble, cfg: GateConfig) -> Decomposition:
+    return gating.decompose_gated(ens, cfg)
+
+
+# Name -> (function of a block's view and the gate, field of its result or None for
+# all of it). Each function looks its measure up when called, so a wrapper bound
+# over the measure's name later is the one that runs.
+SCORES = {
+    **{part: (_standard, part) for part in Decomposition._fields},
+    "epce": (lambda ens, cfg: pairwise_ce(ens), None),
+    "epkl": (lambda ens, cfg: pairwise_kl(ens), None),
+    "epjs": (lambda ens, cfg: pairwise_js(ens), None),
+    "gmu": (lambda ens, cfg: margin.gmu_multiclass(ens.stats, eps=cfg.epsilon)[0], None),
+    **{f"gated_{part}": (_gated, part) for part in Decomposition._fields},
+}
+
+
+def block_scores(ens: Ensemble, names, cfg: GateConfig) -> list[np.ndarray]:
+    """The named :data:`SCORES` of one sample block's view, in the order named.
+
+    Each function of the table runs once, whichever of its parts are named; only
+    its per-sample results are kept, until this call returns.
+    """
+    picked = [SCORES[name] for name in names]
+    results = {measure: measure(ens, cfg) for measure in dict.fromkeys(m for m, _ in picked)}
+    return [results[m] if part is None else getattr(results[m], part) for m, part in picked]
 
 
 def standard_decomposition(tensor: PredictionTensor) -> Decomposition:

@@ -53,26 +53,15 @@ def entropy(dist: np.ndarray, axis: int = -1) -> np.ndarray:
     return -terms.sum(axis=axis)
 
 
-def class_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over axis -2 of a class-major (..., C, B) float64 array, one row op per class step.
-
-    Adds in exactly numpy's order for a contiguous last axis (its pairwise
-    sum), so ``class_sum(x)`` is bit-identical to
-    ``np.ascontiguousarray(x.swapaxes(-1, -2)).sum(-1)``, signed zeros included.
-    ``x`` is left as it was; :func:`class_sum_into` is the in-place form.
-    """
-    scratch = np.moveaxis(np.asarray(x, dtype=np.float64), -2, 0).copy()
-    return class_sum_into(scratch, np.empty(scratch.shape[1:]))
-
-
 def class_sum_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Sum over axis 0 of a classes-first (C, ...) float64 array into ``out``, in place.
 
-    The same additions in the same order as :func:`class_sum`, so the result
-    is bit-identical to numpy's sum over a contiguous class axis. ``x`` is
-    the scratch: it is overwritten and nothing is allocated, so a loop that
-    refills one work array sums it for free. With the classes first, each
-    class row of a C-contiguous ``x`` is one contiguous block. Returns ``out``.
+    Adds in exactly numpy's order for a contiguous last axis (its pairwise
+    sum), so the result is bit-identical to numpy's sum over a contiguous
+    class axis, signed zeros included. ``x`` is the scratch: it is
+    overwritten and nothing is allocated, so a loop that refills one work
+    array sums it for free. With the classes first, each class row of a
+    C-contiguous ``x`` is one contiguous block. Returns ``out``.
     """
     _pairwise_rows_into(x, out)
     out += 0.0  # numpy's reduce starts from +0.0: -0.0 sums become +0.0

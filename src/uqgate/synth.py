@@ -11,8 +11,10 @@ Reproducibility contract: all draws come from numpy's Philox counter-based
 bit generator with key (seed, stream_tag << 32 | epoch), where stream_tag is
 1 for signal, 2 for member noise, and 3 for labels. Within a stream, values
 are consumed in row-major (sample, class) or (member, sample, class) order,
-so every draw is pinned to its (seed, epoch, member, sample, class) indices
-and identical configurations yield bit-identical tensors on any machine.
+so every draw is pinned to its (seed, epoch, member, sample, class) indices:
+identical configurations yield bit-identical logits and labels. The probs
+tensor's last bits also depend on the numpy build and on the CPU kernels
+(AVX-512 or AVX2 on x86) that numpy dispatches its softmax exp to.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +76,9 @@ def _stream(seed: int, tag: int, epoch: int = 0) -> np.random.Generator:
 
 
 def _true_logits(cfg: SynthConfig) -> np.ndarray:
-    return cfg.s_signal * _stream(cfg.seed, _STREAM_SIGNAL).standard_normal(
-        (cfg.samples, cfg.classes)
-    )
+    draws = _stream(cfg.seed, _STREAM_SIGNAL).standard_normal((cfg.samples, cfg.classes))
+    with _overflow_names(f"s_signal {cfg.s_signal}"):
+        return cfg.s_signal * draws
 
 
 def _member_logits(cfg: SynthConfig, z: np.ndarray, s_noise: float, epoch: int,
@@ -83,9 +86,20 @@ def _member_logits(cfg: SynthConfig, z: np.ndarray, s_noise: float, epoch: int,
     noise = _stream(cfg.seed, _STREAM_NOISE, epoch).standard_normal(
         (cfg.members, cfg.samples, cfg.classes), out=out)
     # In place, and bit-identical to z + s_noise * noise: IEEE addition commutes.
-    noise *= s_noise
-    noise += z
+    with _overflow_names(f"s_noise {cfg.s_noise} with s_signal {cfg.s_signal}"):
+        noise *= s_noise
+        noise += z
     return noise
+
+
+@contextmanager
+def _overflow_names(settings: str):
+    """Turn a float overflow in the block into a ValueError that names the settings."""
+    try:
+        with np.errstate(over="raise"):  # per thread: the helper's draws too
+            yield
+    except FloatingPointError:
+        raise ValueError(f"{settings} overflows the float64 range of the logits") from None
 
 
 def _draw_labels(cfg: SynthConfig, z: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ its own, and both test trees are collected in one run.
 import numpy as np
 
 from uqgate import make_tensor
+from uqgate.stats import class_sum_into
 
 
 def random_probs(rng, members, samples, classes):
@@ -75,3 +76,14 @@ class RowMajorNll:
         picked = np.exp(self.label / t - maxes) / sums
         losses = -np.log(np.clip(picked, 1e-12, None))
         return losses.reshape(self.count, -1).mean(axis=-1)
+
+
+def class_sum(x):
+    """Sum over axis -2 of a class-major (..., C, B) float64 array, one row op per class step.
+
+    The reference wrapper of stats.class_sum_into: ``class_sum(x)`` is bit-identical to
+    ``np.ascontiguousarray(x.swapaxes(-1, -2)).sum(-1)``, signed zeros included, and
+    ``x`` is left as it was.
+    """
+    scratch = np.moveaxis(np.asarray(x, dtype=np.float64), -2, 0).copy()
+    return class_sum_into(scratch, np.empty(scratch.shape[1:]))

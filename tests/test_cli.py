@@ -352,6 +352,22 @@ class TestSynthCommand:
         assert (tmp_path / "a_logits.ept").read_bytes() == (tmp_path / "b_logits.ept").read_bytes()
         assert (tmp_path / "a_labels.csv").read_bytes() == (tmp_path / "b_labels.csv").read_bytes()
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "collapse", "--epochs", "3"]],
+                             ids=["static", "collapse"])
+    @pytest.mark.parametrize("setting", ["--s-noise", "--s-signal"])
+    def test_overflowing_scale_is_one_error_line(self, tmp_path, setting, mode):
+        # A subprocess, so that a numpy overflow warning would show on stderr.
+        result = subprocess.run(
+            [sys.executable, "-m", "uqgate.cli", "synth", "--samples", "100", "--classes", "3",
+             "--members", "2", setting, "1e308", *mode, "--out", str(tmp_path / "big")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
+        assert f"{setting[2:].replace('-', '_')} 1e+308" in result.stderr
+        assert not any(tmp_path.iterdir())
+
     def test_invalid_config(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "synth", "--samples", 10, "--classes", 1, "--members", 2,

@@ -340,6 +340,15 @@ class TestLabels:
         with pytest.raises(EptValidationError, match="out of range"):
             read_labels(io.StringIO("5\n"), self.multiclass_manifest(n=1, c=3))
 
+    def test_long_line_is_out_of_range(self):
+        # Past Python's 4300-digit int limit; leading zeros still count for nothing.
+        manifest = self.multiclass_manifest(n=2, c=10)
+        with pytest.raises(EptValidationError,
+                           match=r"^line 2: class index 9{5000} out of range \[0, 10\)$"):
+            read_labels(io.StringIO("007\n" + "9" * 5000 + "\n"), manifest)
+        labels = read_labels(io.StringIO("007\n" + "0" * 5000 + "9\n"), manifest)
+        np.testing.assert_array_equal(labels, [7, 9])
+
     def test_count_mismatch(self):
         with pytest.raises(EptValidationError, match="count"):
             read_labels(io.StringIO("0\n1\n"), self.multiclass_manifest(n=3))

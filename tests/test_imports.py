@@ -24,6 +24,8 @@ ALLOWED = set(sys.stdlib_module_names) | {"numpy", "uqgate"}
 MODULES = sorted(Path(uqgate.__file__).parent.glob("*.py"))
 SUBMODULES = ("calibration", "cli", "diagnostics", "ept", "gating", "margin", "measures",
               "stats", "synth")
+MEASURE_FUNCTIONS = {"decompose", "decompose_gated", "gmu_multiclass", "pairwise_ce",
+                     "pairwise_kl", "pairwise_js"}
 BLAS_NAMES = {"dot", "vdot", "inner", "outer", "matmul", "tensordot", "einsum", "kron", "linalg"}
 
 # The package's public names as they were listed by hand before resolving lazily.
@@ -147,14 +149,43 @@ def test_cli_import_leaves_the_allocator_alone():
     assert _run_child(code).split() == ["0", "1"]
 
 
-def test_cli_main_freezes_the_start_up_heap(tmp_path):
-    # gc.freeze runs in main, not at import: importing uqgate.cli leaves a host's collector alone.
-    code = ("import gc, uqgate.cli\n"
-            "print(gc.get_freeze_count())\n"
-            "uqgate.cli.main(['synth', '--samples', '4', '--classes', '2', '--members', '1',\n"
-            f"                 '--out', {str(tmp_path / 'fix')!r}])\n"
-            "print(gc.get_freeze_count() > 0)")
-    assert _run_child(code).split() == ["0", "True"]
+def test_only_the_program_freezes_the_start_up_heap(tmp_path):
+    # cli.main leaves a host's collector alone: a cycle dropped before the call is still
+    # collected after it. python -m uqgate.cli and the uqgate script (cli.run) freeze.
+    synth = ["synth", "--samples", "4", "--classes", "2", "--members", "1",
+             "--out", str(tmp_path / "fix")]
+    in_process = ("import gc, sys, weakref, uqgate.cli\n"
+                  "class Node: pass\n"
+                  "node = Node(); node.self = node; alive = weakref.ref(node); del node\n"
+                  f"code = uqgate.cli.main({synth!r})\n"
+                  "gc.collect()\n"
+                  "print(code, gc.get_freeze_count(), alive() is None)\n"
+                  f"sys.argv = ['uqgate', *{synth!r}]\n"
+                  "print(uqgate.cli.run(), gc.get_freeze_count() > 0)")
+    assert _run_child(in_process).split() == ["0", "0", "True", "0", "True"]
+    as_module = ("import gc, runpy, sys\n"
+                 f"sys.argv = ['uqgate', *{synth!r}]\n"
+                 "try:\n"
+                 "    runpy.run_module('uqgate.cli', run_name='__main__', alter_sys=True)\n"
+                 "except SystemExit as exc:\n"
+                 "    print(exc.code, gc.get_freeze_count() > 0)")
+    assert _run_child(as_module).split() == ["0", "True"]
+    pyproject = Path(uqgate.__file__).parents[2] / "pyproject.toml"
+    if pyproject.is_file():
+        assert 'uqgate = "uqgate.cli:run"' in pyproject.read_text(encoding="utf-8")
+
+
+def test_cli_selects_its_measures_from_the_table():
+    # report and ood name the measures.SCORES they print; no measure is called, or wrapped
+    # in a lambda, in cli.py, so each is evaluated in one place, once per block.
+    path = Path(uqgate.__file__).with_name("cli.py")
+    calls = [(line, name) for line, name in _names(path) if name in MEASURE_FUNCTIONS]
+    assert not calls, f"cli.py calls measures directly at {calls}"
+    lambdas = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Lambda)
+               and any(isinstance(inner, ast.Name) and inner.id in ("measures", "gating", "margin")
+                       for inner in ast.walk(node.body))]
+    assert not lambdas, f"cli.py wraps a measure in a lambda at lines {lambdas}"
 
 
 def test_bare_import_loads_no_numpy():

@@ -19,7 +19,7 @@ from uqgate import (
     make_tensor,
     standard_decomposition,
 )
-from uqgate import stats
+from uqgate import gating, measures, stats
 from uqgate.gating import decompose_gated
 from uqgate.measures import decompose, pairwise_ce, pairwise_js, pairwise_kl
 from uqgate.stats import member_probs
@@ -284,7 +284,7 @@ def _js_cases(draw):
     block = draw(st.integers(2, 5))
     # Up to 10 members: every remainder of JS_ROWS partner rows occurs, and from
     # 8 on numpy sums a lone sample's terms pairwise. From 8 classes on,
-    # class_sum takes its unrolled path, and above 128 its split.
+    # class_sum_into takes its unrolled path, and above 128 its split.
     classes = draw(st.one_of(st.integers(2, 5), st.sampled_from([8, 9, 10, 100, 129])))
     shape = (draw(st.integers(1, 10)), draw(st.integers(1, 3 * block + 2)), classes)
     if classes <= 5:
@@ -387,3 +387,29 @@ class TestBlockwiseMatchesWholeView:
 def _bytes(value):
     """The bytes of one array, or of each array in a tuple of them."""
     return [part.tobytes() for part in ((value,) if isinstance(value, np.ndarray) else value)]
+
+
+class TestScoreTable:
+    def test_each_entry_is_its_measure(self, rng):
+        ens = Ensemble(member_probs(probs_tensor(random_probs(rng, 5, 40, 4))))
+        cfg = GateConfig(k=2.0, epsilon=1e-6)
+        std, gated = decompose(ens), decompose_gated(ens, cfg)
+        want = {"tu": std.tu, "au": std.au, "eu": std.eu, "epce": pairwise_ce(ens),
+                "epkl": pairwise_kl(ens), "epjs": pairwise_js(ens),
+                "gmu": gmu_multiclass(ens.stats, eps=1e-6)[0],
+                "gated_tu": gated.tu, "gated_au": gated.au, "gated_eu": gated.eu}
+        assert list(measures.SCORES) == list(want)  # ood's --measure order
+        names = ["epjs", "gated_eu", "tu", "gmu", "gated_tu"]
+        got = measures.block_scores(ens, names, cfg)
+        assert [value.tobytes() for value in got] == [want[name].tobytes() for name in names]
+
+    def test_each_decomposition_runs_once_and_is_looked_up_when_called(self, rng, monkeypatch):
+        ens = Ensemble(member_probs(probs_tensor(random_probs(rng, 3, 10, 3))))
+        calls = []
+        for module, name in ((measures, "decompose"), (gating, "decompose_gated")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, original=original, name=name:
+                                calls.append(name) or original(*args))
+        scores = measures.block_scores(ens, [*measures.SCORES, "eu", "tu"], GateConfig(k=1.0))
+        assert len(scores) == 12 and calls == ["decompose", "decompose_gated"]
+        assert all(score.shape == (10,) for score in scores)

@@ -1,0 +1,30 @@
+"""What the CLI prints stays byte for byte what it printed when the digests were recorded.
+
+The corpus (``output_corpus.py``) runs report, ood and coverage, and two of
+their errors, on fixtures whose bytes do not depend on numpy's CPU dispatch.
+Each dispatch path this host supports runs the whole corpus in one child
+process and is compared with the digests recorded for that numpy version and
+path; one with none recorded is skipped.
+"""
+
+import json
+
+import pytest
+
+from output_corpus import DIGESTS, NO_AVX512, run_child
+
+RECORDED = json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("disable", [None, NO_AVX512], ids=["default", "no-avx512"])
+def test_output_bytes_match_the_recorded_digests(tmp_path, disable):
+    child = run_child(tmp_path, disable)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout)
+    assert result["fixtures"] == RECORDED["fixtures"]
+    expected = RECORDED["paths"].get(result["path"])
+    if expected is None:
+        pytest.skip(f"no digests recorded for {result['path']}")
+    assert sorted(result["runs"]) == sorted(expected)
+    changed = {case: run for case, run in result["runs"].items() if run != expected[case]}
+    assert not changed, f"output bytes changed in {sorted(changed)}"

@@ -12,7 +12,9 @@ from uqgate import ClassStats, Ensemble, entropy, make_tensor, softmax, softmax_
 from uqgate.ept import EptValidationError
 from uqgate.stats import member_probs
 
-from helpers import logits_tensor, old_softmax, old_softmax_tensor, probs_tensor, random_probs
+from helpers import (
+    class_sum, logits_tensor, old_softmax, old_softmax_tensor, probs_tensor, random_probs,
+)
 
 
 def two_pass_moments(data):
@@ -267,11 +269,11 @@ class TestClassSum:
         ]
         for x in cases:
             for view in (x, x[0]):  # (..., C, B) and (C, B)
-                assert stats.class_sum(view).tobytes() == _numpy_class_sum(view).tobytes()
+                assert class_sum(view).tobytes() == _numpy_class_sum(view).tobytes()
 
     def test_all_negative_zeros_sum_to_positive_zero(self):
         for classes in (1, 7, 8, 200):
-            total = stats.class_sum(np.full((classes, 3), -0.0))
+            total = class_sum(np.full((classes, 3), -0.0))
             assert total.tobytes() == np.zeros(3).tobytes()
 
 
@@ -309,7 +311,7 @@ class TestClassSumInto:
     def test_class_sum_leaves_its_argument_alone(self, rng):
         x = rng.standard_normal((2, 40, 5))
         before = x.tobytes()
-        stats.class_sum(x)
+        class_sum(x)
         assert x.tobytes() == before
 
     @pytest.mark.parametrize("classes", [5, 10, 129])
