@@ -17,7 +17,7 @@ them. Both give bit for bit the temperatures and NLLs of the scalar search,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ WORK_SAMPLES = 4096
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class TemperatureFit:
+class TemperatureFit(NamedTuple):
     """Fitted temperature(s) with per-sample NLL before and after scaling.
 
     Scalars for a global fit; (M,) arrays for a per-member fit.
@@ -103,6 +102,7 @@ class _Nll:
         # scalar path does; fancy indexing may lay (B, N) out transposed.
         self.label = np.ascontiguousarray(logits[:, np.arange(samples), labels])
         self.columns = np.ascontiguousarray(logits.transpose(2, 0, 1))
+        self.pooled = pooled
         self.count = 1 if pooled else logits.shape[0]
         # Work arrays, made once: the search calls this object about 84 times.
         width = min(samples, WORK_SAMPLES)
@@ -204,15 +204,21 @@ def _search(loss: _Nll) -> TemperatureFit:
     )
 
 
-def _single(fit: TemperatureFit) -> TemperatureFit:
-    return TemperatureFit(*(float(value[0]) for value in
-                            (fit.temperature, fit.nll_before, fit.nll_after)))
+def objective(tensor: PredictionTensor, labels: np.ndarray, pooled: bool = False) -> _Nll:
+    """NLL(T) of a logits tensor's members, each on its own or ``pooled`` as extra samples.
 
-
-def _member_logits(tensor: PredictionTensor) -> np.ndarray:
+    It keeps its own copy of the logits, so a caller can free the tensor
+    before :func:`fit_objective` runs the search.
+    """
     if tensor.manifest.kind != "logits":
         raise EptValidationError("temperature fitting requires kind=logits")
-    return tensor.data.astype(np.float64, copy=False)
+    return _Nll(tensor.data.astype(np.float64, copy=False), labels, pooled)
+
+
+def fit_objective(loss: _Nll) -> TemperatureFit:
+    """The documented search: (M,) arrays per member, or scalars for a pooled objective."""
+    fit = _search(loss)
+    return TemperatureFit(*(float(value[0]) for value in fit)) if loss.pooled else fit
 
 
 def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> TemperatureFit:
@@ -220,12 +226,12 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> TemperatureFit:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ValueError(f"expected (samples, classes) logits, got shape {logits.shape}")
-    return _single(_search(_Nll(logits[None], labels)))
+    return fit_objective(_Nll(logits[None], labels, pooled=True))
 
 
 def fit_per_member(tensor: PredictionTensor, labels: np.ndarray) -> TemperatureFit:
     """Independent temperature fit for every member slice of a logits tensor."""
-    return _search(_Nll(_member_logits(tensor), labels))
+    return fit_objective(objective(tensor, labels))
 
 
 def fit_global(tensor: PredictionTensor, labels: np.ndarray) -> TemperatureFit:
@@ -234,4 +240,4 @@ def fit_global(tensor: PredictionTensor, labels: np.ndarray) -> TemperatureFit:
     Members count as extra samples, so with M = 1 this is ``fit_temperature``
     on the one member.
     """
-    return _single(_search(_Nll(_member_logits(tensor), labels, pooled=True)))
+    return fit_objective(objective(tensor, labels, pooled=True))

@@ -218,16 +218,9 @@ def cmd_diversity(args) -> int:
             _emit_table([[("epoch", series.epochs), ("diversity", series.values),
                           ("collapse", collapse)]], "csv", out)
         else:
-            json.dump(
-                {
-                    "epochs": [int(e) for e in series.epochs],
-                    "diversity": [float(v) for v in series.values],
-                    "tau": series.tau,
-                    "collapse_epoch": series.collapse_epoch,
-                },
-                out,
-                indent=2,
-            )
+            # tolist: Python ints and floats, as json writes them.
+            json.dump({"epochs": series.epochs.tolist(), "diversity": series.values.tolist(),
+                       "tau": series.tau, "collapse_epoch": series.collapse_epoch}, out, indent=2)
             out.write("\n")
     return 0
 
@@ -264,8 +257,9 @@ def cmd_calibrate(args) -> int:
         raise ValueError("calibration requires a logits tensor (kind=logits)")
     _require_multiclass(tensor, "calibrate")
     labels = read_labels_file(args.labels, tensor.manifest)
-    fitter = calibration.fit_per_member if args.per_member else calibration.fit_global
-    fit = fitter(tensor, labels)
+    loss = calibration.objective(tensor, labels, pooled=not args.per_member)
+    del tensor  # the search runs on the objective's copy of the logits
+    fit = calibration.fit_objective(loss)
     payload = {"temperatures" if args.per_member else "temperature": fit.temperature,
                "nll_before": fit.nll_before, "nll_after": fit.nll_after}
     with _open_output(args.output) as out:
@@ -279,22 +273,20 @@ def cmd_calibrate(args) -> int:
 # ood
 
 
-def _ood_scores(tensor: PredictionTensor, names, k: float, eps: float) -> list[np.ndarray]:
+def _ood_scores(tensor: PredictionTensor, names, cfg) -> list[np.ndarray]:
     """The named scores of one file, computed one sample block at a time."""
     _require_multiclass(tensor, "ood")
-    cfg = gating.GateConfig(k=k, epsilon=eps)
     return blockwise(tensor, functools.partial(measures.block_scores, names=names, cfg=cfg))
 
 
 def cmd_ood(args) -> int:
-    gating.check_k(args.k)
-    gating.check_epsilon(args.epsilon)
+    cfg = gating.GateConfig(k=args.k, epsilon=args.epsilon)  # checks k, then epsilon
     if args.measure not in (*OOD_MEASURES, "all"):
         raise ValueError(f"unknown measure {args.measure!r}; choose from {OOD_MEASURES} or 'all'")
     names = OOD_MEASURES if args.measure == "all" else (args.measure,)
     # One payload at a time: the ID file is scored, and dropped, before the OOD file is read.
-    neg = _ood_scores(_read_input(args.id), names, args.k, args.epsilon)
-    pos = _ood_scores(_read_input(args.ood), names, args.k, args.epsilon)
+    neg = _ood_scores(_read_input(args.id), names, cfg)
+    pos = _ood_scores(_read_input(args.ood), names, cfg)
     scores = {name: diagnostics.auroc(n, p) for name, n, p in zip(names, neg, pos)}
     with _open_output(args.output) as out:
         json.dump({"k": args.k, "auroc": scores}, out, indent=2)

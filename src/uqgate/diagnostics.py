@@ -10,7 +10,7 @@ EPKL, EPJS) vanishes and the gate sensitivity k stops mattering.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .margin import DEFAULT_EPS, UNCERTAIN, decide_multiclass
 from .stats import ClassStats
 
 
-@dataclass(frozen=True)
-class DiversitySeries:
+class DiversitySeries(NamedTuple):
     """Per-epoch diversity values and the first epoch below tau (if any)."""
 
     epochs: np.ndarray
@@ -29,8 +28,7 @@ class DiversitySeries:
     collapse_epoch: int | None
 
 
-@dataclass(frozen=True)
-class CoverageRiskCurve:
+class CoverageRiskCurve(NamedTuple):
     """Coverage and selective risk per gate sensitivity k.
 
     risk is NaN at k values where nothing is decided (never silently 0).

@@ -16,7 +16,7 @@ term non-negative by entropy concavity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,8 +67,7 @@ class Decomposition(NamedTuple):
     eu: np.ndarray
 
 
-@dataclass(frozen=True)
-class GatedEnsemble:
+class GatedEnsemble(NamedTuple):
     """Gates, renormalized gated member rows, and their predictive mean.
 
     fallback flags samples where at least one member row lost all gated
@@ -78,7 +77,7 @@ class GatedEnsemble:
     gates: np.ndarray       # (N, C) in [0, 1)
     members: np.ndarray     # (M, N, C), each row sums to 1
     predictive: np.ndarray  # (N, C) mean of gated member rows
-    fallback: np.ndarray = field(repr=False)  # (N,) bool
+    fallback: np.ndarray    # (N,) bool
 
 
 def gate(mu: np.ndarray, sigma: np.ndarray, cfg: GateConfig) -> np.ndarray:

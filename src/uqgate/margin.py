@@ -15,7 +15,7 @@ UNCERTAIN (-1) otherwise; multilabel uses PRESENT / ABSENT / UNCERTAIN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ ABSENT = 0
 PRESENT = 1
 
 
-@dataclass(frozen=True)
-class MulticlassDecisions:
+class MulticlassDecisions(NamedTuple):
     """Vectorized per-sample rule output.
 
     decision holds the top-1 class index where the rule fires and

@@ -2,7 +2,9 @@
 
 The fixtures' bytes do not depend on numpy's CPU dispatch: logits are
 ``synth``'s seeded draws (sums and products, no exp), and every probability
-row is a row of integer counts divided by its sum. What the commands print
+row is a row of integer counts divided by its sum. A case's record holds its
+exit status, the digests of its stdout and stderr and, if it wrote any, of
+each file it wrote (``--output`` files, ``synth``'s EPT and label files). What the commands print
 does depend on it, through softmax's exp and the entropies' log, so the
 digests are kept per numpy version and dispatch path, the highest x86 target
 that numpy's kernels use (``X86_V4`` with AVX-512, ``X86_V3`` with AVX2).
@@ -32,11 +34,16 @@ NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
 
 PROBS, LOGITS, WIDE, SINGLE = "probs.ept", "logits.ept", "wide32.ept", "single.ept"
 LABELS, WIDE_LABELS = "labels.csv", "wide_labels.csv"
+BINARY, BINARY_LABELS, TRUNCATED = "binary.ept", "binary_labels.csv", "truncated.ept"
+FIXTURES = (PROBS, LOGITS, WIDE, SINGLE, LABELS, WIDE_LABELS, BINARY, BINARY_LABELS, TRUNCATED)
+# The collapse series that the synth-collapse case writes, and the diversity cases read.
+SERIES = tuple(f"collapse_epoch{epoch:03d}.ept" for epoch in range(3))
 OOD_MEASURES = ("tu", "au", "eu", "epce", "epkl", "epjs", "gmu",
                 "gated_tu", "gated_au", "gated_eu")
 
 
-def _cases() -> dict[str, list[str]]:
+def all_cases() -> dict[str, list[str]]:
+    """Each case's argv by name, in run order: a case may read files that earlier ones wrote."""
     cases = {}
     for name, path, labels in ((PROBS, PROBS, LABELS), (LOGITS, LOGITS, LABELS),
                                (WIDE, WIDE, WIDE_LABELS)):
@@ -58,6 +65,49 @@ def _cases() -> dict[str, list[str]]:
             "coverage", "--input", name, "--labels", LABELS, "--k-grid", "0.25:4:16"]
     cases["error-unknown-measure"] = [*ood, "--measure", "nope"]
     cases["error-colliding-k"] = ["report", "--input", PROBS, "--k", "1,1.0000001"]
+
+    # synth writes its files under the case's prefix; calibrate reads the static logits
+    # and labels, diversity the collapse series.
+    synth = ["synth", "--samples", "300", "--classes", "10", "--members", "5", "--seed", "3"]
+    cases["synth-static"] = [*synth, "--out", "static"]
+    cases["synth-collapse"] = [*synth, "--mode", "collapse", "--epochs", str(len(SERIES)),
+                               "--decay", "3", "--out", "collapse"]
+    for mode, extra in (("global", []), ("per-member", ["--per-member"])):
+        calibrate = ["calibrate", "--input", "static_logits.ept",
+                     "--labels", "static_labels.csv", *extra]
+        cases[f"calibrate-{mode}"] = calibrate
+        cases[f"calibrate-{mode}-output"] = [*calibrate, "--output", f"calibrate-{mode}.json"]
+    cases["diversity-csv"] = ["diversity", "--inputs", *SERIES]
+    cases["diversity-json"] = ["diversity", "--inputs", *SERIES, "--format", "json"]
+    cases["diversity-json-output"] = [*cases["diversity-json"], "--output", "diversity.json"]
+    cases["report-csv-probs-output"] = [*cases["report-csv-probs"], "--output", "report.csv"]
+    cases["report-json-logits-output"] = [*cases["report-json-logits"], "--output",
+                                          "report.json"]
+    cases["ood-all-output"] = [*ood, "--output", "ood.json"]
+    cases["coverage-probs-output"] = [*cases["coverage-probs"], "--output", "coverage.csv"]
+    cases["report-csv-binary"] = ["report", "--input", BINARY, "--labels", BINARY_LABELS,
+                                  "--k", "0.5,1,2,4"]
+    cases["report-json-binary"] = ["report", "--input", BINARY, "--labels", BINARY_LABELS,
+                                   "--format", "json"]
+    cases["coverage-binary"] = ["coverage", "--input", BINARY, "--labels", BINARY_LABELS,
+                                "--k-grid", "0.25:4:16"]
+    # Nothing is decided at these k, so risk prints NA.
+    cases["coverage-undecided"] = ["coverage", "--input", PROBS, "--labels", LABELS,
+                                   "--k-grid", "1e6,1e9"]
+
+    cases["error-ood-epsilon-0"] = [*ood, "--epsilon", "0"]
+    cases["error-calibrate-probs"] = ["calibrate", "--input", PROBS, "--labels", LABELS]
+    cases["error-calibrate-label-range"] = ["calibrate", "--input", LOGITS,
+                                            "--labels", WIDE_LABELS]
+    cases["error-report-missing-file"] = ["report", "--input", "missing.ept"]
+    cases["error-report-truncated"] = ["report", "--input", TRUNCATED]
+    cases["error-diversity-shapes"] = ["diversity", "--inputs", PROBS, WIDE]
+    cases["error-diversity-order"] = ["diversity", "--inputs", SERIES[1], SERIES[0]]
+    cases["error-coverage-grid"] = ["coverage", "--input", PROBS, "--labels", LABELS,
+                                    "--k-grid", "1:2"]
+    cases["error-synth-config"] = ["synth", "--samples", "0", "--classes", "10",
+                                   "--members", "5", "--out", "none"]
+    cases["error-synth-overflow"] = [*synth, "--s-noise", "1e308", "--out", "none"]
     return cases
 
 
@@ -93,6 +143,10 @@ def _write_fixtures() -> None:
     write_ept_file(counts((1, 300, 10)), SINGLE)
     labels(LABELS, 10, 2100)
     labels(WIDE_LABELS, 100, 2100)
+    # Drawn after the fixtures above, so that their bytes stay as they were.
+    write_ept_file(counts((6, 2100, 2)), BINARY)
+    labels(BINARY_LABELS, 2, 2100)
+    Path(TRUNCATED).write_bytes(Path(PROBS).read_bytes()[:-8])
 
 
 def _digest(data: bytes) -> str:
@@ -111,25 +165,30 @@ def _dispatch_path() -> str:
 
 
 def _run(argv: list[str]) -> dict:
+    """Exit status and stdout and stderr digests, and a digest of every file the run wrote."""
     from uqgate import cli
 
+    before = set(os.listdir())
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             status = cli.main(argv)
         except SystemExit as exc:  # argparse
             status = exc.code
-    return {"status": status, "stdout": _digest(out.getvalue().encode()),
-            "stderr": _digest(err.getvalue().encode())}
+    run = {"status": status, "stdout": _digest(out.getvalue().encode()),
+           "stderr": _digest(err.getvalue().encode())}
+    written = sorted(set(os.listdir()) - before)
+    if written:
+        run["files"] = {name: _digest(Path(name).read_bytes()) for name in written}
+    return run
 
 
 def run_corpus(directory: Path) -> dict:
     """Build the fixtures in ``directory`` and run every case there, in this process."""
     os.chdir(directory)  # relative paths: stderr names files the same in any directory
     _write_fixtures()
-    fixtures = {name: _digest(Path(name).read_bytes())
-                for name in (PROBS, LOGITS, WIDE, SINGLE, LABELS, WIDE_LABELS)}
-    runs = {case: _run(argv) for case, argv in _cases().items()}
+    fixtures = {name: _digest(Path(name).read_bytes()) for name in FIXTURES}
+    runs = {case: _run(argv) for case, argv in all_cases().items()}
     return {"path": _dispatch_path(), "fixtures": fixtures, "runs": runs}
 
 

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqgate import (
-    UNCERTAIN, GateConfig, SynthConfig, cli, ept, gating, generate, generate_collapse_series,
-    make_tensor, margin, measures, softmax, stats, synth, write_ept_file,
+    UNCERTAIN, GateConfig, SynthConfig, calibration, cli, ept, gating, generate,
+    generate_collapse_series, make_tensor, margin, measures, softmax, stats, synth, write_ept_file,
 )
 from uqgate.cli import main
 from uqgate.ept import read_ept_file, write_labels
@@ -698,9 +698,9 @@ class TestReportBlocks:
     @pytest.mark.parametrize("samples", [1, 5, 13])
     def test_ood_scores_identical_to_one_block(self, rng, monkeypatch, members, samples):
         tensor = probs_tensor(random_probs(rng, members, samples, 4))
-        whole = cli._ood_scores(tensor, cli.OOD_MEASURES, 1.0, 1e-8)  # N < SAMPLE_BLOCK
+        whole = cli._ood_scores(tensor, cli.OOD_MEASURES, GateConfig(k=1.0))  # N < SAMPLE_BLOCK
         monkeypatch.setattr(stats, "SAMPLE_BLOCK", 4)
-        blocked = cli._ood_scores(tensor, cli.OOD_MEASURES, 1.0, 1e-8)
+        blocked = cli._ood_scores(tensor, cli.OOD_MEASURES, GateConfig(k=1.0))
         for got, ref in zip(blocked, whole, strict=True):
             assert got.tobytes() == ref.tobytes()
 
@@ -898,6 +898,29 @@ def test_ood_holds_one_payload_at_a_time(workdir, capsys, monkeypatch):
                        workdir / "logits.ept")
     assert code == 0 and json.loads(out)["auroc"]
     assert len(read) == 2
+
+
+@pytest.mark.parametrize("per_member", [[], ["--per-member"]], ids=["global", "per-member"])
+def test_calibrate_frees_the_payload_before_the_search(workdir, capsys, monkeypatch, per_member):
+    # The search runs on the objective's classes-first copy; the payload is not resident.
+    payloads, alive = [], []
+    search = calibration._search
+
+    def tracked_read(path):
+        tensor = read_ept_file(path)
+        payloads.append(weakref.ref(tensor.data))
+        return tensor
+
+    def tracked_search(loss):
+        alive.extend(ref() is not None for ref in payloads)
+        return search(loss)
+
+    monkeypatch.setattr(cli, "read_ept_file", tracked_read)
+    monkeypatch.setattr(calibration, "_search", tracked_search)
+    code, out, _ = run(capsys, "calibrate", "--input", workdir / "logits.ept",
+                       "--labels", workdir / "labels.csv", *per_member)
+    assert code == 0 and json.loads(out)["nll_after"]
+    assert alive == [False]
 
 
 def test_ood_writes_nothing_before_both_files_are_valid(workdir, capsys):

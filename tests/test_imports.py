@@ -188,6 +188,32 @@ def test_cli_selects_its_measures_from_the_table():
     assert not lambdas, f"cli.py wraps a measure in a lambda at lines {lambdas}"
 
 
+# Every result record is a NamedTuple: its fields, in order, are the ones its attributes name.
+RESULT_FIELDS = {
+    "CoverageRiskCurve": ("k", "coverage", "risk"),
+    "Decomposition": ("tu", "au", "eu"),
+    "DiversitySeries": ("epochs", "values", "tau", "collapse_epoch"),
+    "GatedEnsemble": ("gates", "members", "predictive", "fallback"),
+    "MulticlassDecisions": ("top1", "top2", "snr", "decision"),
+    "TemperatureFit": ("temperature", "nll_before", "nll_after"),
+}
+
+
+@pytest.mark.parametrize("name, fields", RESULT_FIELDS.items())
+def test_results_are_named_tuples(name, fields):
+    record = getattr(uqgate, name)
+    assert issubclass(record, tuple) and record._fields == fields
+    values = record(*range(len(fields)))
+    assert tuple(values) == tuple(range(len(fields)))
+    assert [getattr(values, field) for field in fields] == list(range(len(fields)))
+
+
+@pytest.mark.parametrize("module", ["calibration", "diagnostics", "margin"])
+def test_result_modules_import_no_dataclasses(module):
+    path = Path(uqgate.__file__).with_name(f"{module}.py")
+    assert "dataclasses" not in set(_imported_packages(path))
+
+
 def test_bare_import_loads_no_numpy():
     code = "import sys, uqgate; print('numpy' in sys.modules)"
     assert _run_child(code).strip() == "False"

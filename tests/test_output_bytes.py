@@ -1,17 +1,20 @@
 """What the CLI prints stays byte for byte what it printed when the digests were recorded.
 
-The corpus (``output_corpus.py``) runs report, ood and coverage, and two of
-their errors, on fixtures whose bytes do not depend on numpy's CPU dispatch.
+The corpus (``output_corpus.py``) runs every subcommand, to stdout and to
+``--output`` files, and their common errors, on fixtures whose bytes do not
+depend on numpy's CPU dispatch; files that a run writes are digested too.
 Each dispatch path this host supports runs the whole corpus in one child
 process and is compared with the digests recorded for that numpy version and
 path; one with none recorded is skipped.
 """
 
+import argparse
 import json
 
 import pytest
 
-from output_corpus import DIGESTS, NO_AVX512, run_child
+from output_corpus import DIGESTS, NO_AVX512, all_cases, run_child
+from uqgate import cli
 
 RECORDED = json.loads(DIGESTS.read_text(encoding="utf-8"))
 
@@ -28,3 +31,10 @@ def test_output_bytes_match_the_recorded_digests(tmp_path, disable):
     assert sorted(result["runs"]) == sorted(expected)
     changed = {case: run for case, run in result["runs"].items() if run != expected[case]}
     assert not changed, f"output bytes changed in {sorted(changed)}"
+
+
+def test_every_subcommand_has_a_case():
+    parser = cli._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(commands) <= {argv[0] for argv in all_cases().values()}
