@@ -11,22 +11,27 @@ calibrate   temperature fit for a logits tensor (global or per member)
 ood         AUROC of uncertainty scores for separating two EPT files
 synth       deterministic synthetic ensemble fixtures
 
-Reports go to stdout or --output; diagnostics go to stderr; exit status is
-0 exactly when no error occurred. CSV output uses 9 significant digits,
-'.' decimals, and LF line endings so files are identical across platforms.
+Each command checks its arguments, reads its inputs and returns its report
+as text; ``main`` alone writes that text, to stdout or to --output, which it
+opens only once the command's checks have passed. Diagnostics go to stderr;
+exit status is 0 exactly when no error occurred. CSV output uses 9
+significant digits, '.' decimals, and LF line endings so files are identical
+across platforms.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import gc
 import itertools
 import json
 import os
 import sys
-from contextlib import closing, contextmanager
+from collections.abc import Iterable
+from contextlib import closing
 
 # uqgate calls no BLAS routine, and OpenBLAS's worker threads cost start-up time.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -76,7 +81,7 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
-def _parse_k_grid(text: str) -> list[float]:
+def _parse_k_grid(text: str) -> np.ndarray:
     """Either 'lo:hi:count' (inclusive, evenly spaced) or 'k1,k2,...'."""
     if ":" in text:
         parts = text.split(":")
@@ -87,17 +92,8 @@ def _parse_k_grid(text: str) -> list[float]:
             raise ValueError("grid count must be >= 1")
         gating.check_k(lo)
         gating.check_k(hi)
-        return list(np.linspace(lo, hi, count))
-    return _parse_float_list(text)
-
-
-@contextmanager
-def _open_output(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield handle
+        return np.linspace(lo, hi, count)
+    return np.array(_parse_float_list(text))
 
 
 def _read_input(path: str) -> PredictionTensor:
@@ -157,8 +153,8 @@ def _cells(name, values, fmt):
     return [undecided if v == margin.UNCERTAIN else v for v in ints]
 
 
-def _emit_table(blocks, fmt, out):
-    """Write CSV, or what ``json.dump(records, out, indent=2)`` writes, one block at a time.
+def _table_text(blocks, fmt):
+    """Yield CSV, or what ``json.dump(records, out, indent=2)`` writes, one block at a time.
 
     ``blocks`` yields lists of (name, values) columns with the same names;
     the first block sets the header.
@@ -167,25 +163,30 @@ def _emit_table(blocks, fmt, out):
     first = next(blocks)
     names = [name for name, _ in first]
     if fmt == "csv":
-        out.write(",".join(names) + "\n")
+        yield ",".join(names) + "\n"
         # Floats to 9 significant digits; an undecided decision is already text.
         specs = ["%s" if n == "decision" else "%d" if n in _INT_COLUMNS else "%.9g" for n in names]
         record, lead, sep = ",".join(specs) + "\n", "", ""
     else:
-        out.write("[")
+        yield "["
         record = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in names) + "\n  }"
         lead, sep = "\n", ",\n"
     wrote = False
     for columns in itertools.chain([first], blocks):
         cells = [_cells(name, values, fmt) for name, values in columns]
         if cells[0]:
-            out.write((sep if wrote else lead) + sep.join([record % row for row in zip(*cells)]))
+            yield (sep if wrote else lead) + sep.join([record % row for row in zip(*cells)])
             wrote = True
     if fmt == "json":
-        out.write("\n]\n" if wrote else "]\n")
+        yield "\n]\n" if wrote else "]\n"
 
 
-def cmd_report(args) -> int:
+def _json_text(value) -> list[str]:
+    """What ``json.dump(value, out, indent=2)`` writes, and a final newline."""
+    return [json.dumps(value, indent=2), "\n"]
+
+
+def cmd_report(args) -> Iterable[str]:
     # GateConfig applies gating.check_k and gating.check_epsilon before any input is read.
     k_values = list(dict.fromkeys(_parse_float_list(args.k)))
     configs = [gating.GateConfig(k=k, epsilon=args.epsilon) for k in k_values]
@@ -200,36 +201,32 @@ def cmd_report(args) -> int:
     labels = None
     if args.labels:
         labels = read_labels_file(args.labels, tensor.manifest)
-    with _open_output(args.output) as out:
-        _emit_table(_report_rows(tensor, labels, configs), args.format, out)
-    return 0
+    # A plain function, not a generator: the input and labels are read before main opens
+    # --output. Only the table is lazy, one block at a time.
+    return _table_text(_report_rows(tensor, labels, configs), args.format)
 
 
 # ---------------------------------------------------------------------------
 # diversity
 
 
-def cmd_diversity(args) -> int:
+def cmd_diversity(args) -> Iterable[str]:
     # A generator, so one snapshot is in memory at a time.
     series = diagnostics.collapse_epoch(map(_read_input, args.inputs), tau=args.tau)
-    with _open_output(args.output) as out:
-        if args.format == "csv":
-            collapse = series.epochs == series.collapse_epoch  # all False when None
-            _emit_table([[("epoch", series.epochs), ("diversity", series.values),
-                          ("collapse", collapse)]], "csv", out)
-        else:
-            # tolist: Python ints and floats, as json writes them.
-            json.dump({"epochs": series.epochs.tolist(), "diversity": series.values.tolist(),
-                       "tau": series.tau, "collapse_epoch": series.collapse_epoch}, out, indent=2)
-            out.write("\n")
-    return 0
+    if args.format == "csv":
+        collapse = series.epochs == series.collapse_epoch  # all False when None
+        return _table_text([[("epoch", series.epochs), ("diversity", series.values),
+                             ("collapse", collapse)]], "csv")
+    # tolist: Python ints and floats, as json writes them.
+    return _json_text({"epochs": series.epochs.tolist(), "diversity": series.values.tolist(),
+                       "tau": series.tau, "collapse_epoch": series.collapse_epoch})
 
 
 # ---------------------------------------------------------------------------
 # coverage
 
 
-def cmd_coverage(args) -> int:
+def cmd_coverage(args) -> Iterable[str]:
     k_grid = _parse_k_grid(args.k_grid)
     for k in k_grid:
         gating.check_k(k)
@@ -239,19 +236,18 @@ def cmd_coverage(args) -> int:
     labels = read_labels_file(args.labels, tensor.manifest)
     stats = ClassStats.from_tensor(tensor)
     curve = diagnostics.coverage_risk(stats, labels, k_grid, eps=args.epsilon)
-    with _open_output(args.output) as out:
-        out.write("k,coverage,risk\n")
-        for k, cov, risk in zip(curve.k, curve.coverage, curve.risk):
-            risk_cell = "NA" if np.isnan(risk) else _fmt(float(risk))
-            out.write(f"{_fmt(float(k))},{_fmt(float(cov))},{risk_cell}\n")
-    return 0
+    lines = ["k,coverage,risk\n"]
+    for k, cov, risk in zip(curve.k, curve.coverage, curve.risk):
+        risk_cell = "NA" if np.isnan(risk) else _fmt(float(risk))
+        lines.append(f"{_fmt(float(k))},{_fmt(float(cov))},{risk_cell}\n")
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # calibrate
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> Iterable[str]:
     tensor = read_ept_file(args.input)
     if tensor.manifest.kind != "logits":
         raise ValueError("calibration requires a logits tensor (kind=logits)")
@@ -262,11 +258,8 @@ def cmd_calibrate(args) -> int:
     fit = calibration.fit_objective(loss)
     payload = {"temperatures" if args.per_member else "temperature": fit.temperature,
                "nll_before": fit.nll_before, "nll_after": fit.nll_after}
-    with _open_output(args.output) as out:
-        # As Python floats: a list of one per member, or one for all members.
-        json.dump({k: np.asarray(v).tolist() for k, v in payload.items()}, out, indent=2)
-        out.write("\n")
-    return 0
+    # As Python floats: a list of one per member, or one for all members.
+    return _json_text({k: np.asarray(v).tolist() for k, v in payload.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +272,7 @@ def _ood_scores(tensor: PredictionTensor, names, cfg) -> list[np.ndarray]:
     return blockwise(tensor, functools.partial(measures.block_scores, names=names, cfg=cfg))
 
 
-def cmd_ood(args) -> int:
+def cmd_ood(args) -> Iterable[str]:
     cfg = gating.GateConfig(k=args.k, epsilon=args.epsilon)  # checks k, then epsilon
     if args.measure not in (*OOD_MEASURES, "all"):
         raise ValueError(f"unknown measure {args.measure!r}; choose from {OOD_MEASURES} or 'all'")
@@ -288,28 +281,17 @@ def cmd_ood(args) -> int:
     neg = _ood_scores(_read_input(args.id), names, cfg)
     pos = _ood_scores(_read_input(args.ood), names, cfg)
     scores = {name: diagnostics.auroc(n, p) for name, n, p in zip(names, neg, pos)}
-    with _open_output(args.output) as out:
-        json.dump({"k": args.k, "auroc": scores}, out, indent=2)
-        out.write("\n")
-    return 0
+    return _json_text({"k": args.k, "auroc": scores})
 
 
 # ---------------------------------------------------------------------------
 # synth
 
 
-def cmd_synth(args) -> int:
-    cfg = synth.SynthConfig(
-        samples=args.samples,
-        classes=args.classes,
-        members=args.members,
-        s_signal=args.s_signal,
-        s_noise=args.s_noise,
-        seed=args.seed,
-        mode=args.mode,
-        epochs=args.epochs,
-        decay=args.decay,
-    )
+def cmd_synth(args) -> None:
+    # The synth subparser's dests are SynthConfig's field names.
+    cfg = synth.SynthConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(synth.SynthConfig)})
     if cfg.mode == "static":
         probs, logits, labels = synth.generate(cfg)
         write_ept_file(probs, f"{args.out}_probs.ept")
@@ -325,7 +307,6 @@ def cmd_synth(args) -> int:
                 write_ept_file(tensor, f"{args.out}_epoch{epoch:03d}.ept")
                 del tensor  # freed before the next epoch's softmax
         print(f"wrote {cfg.epochs} epoch files under prefix {args.out}", file=sys.stderr)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +401,16 @@ def main(argv=None) -> int:
     _tune_allocator()
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)  # None from synth, which writes its own files
+        if text is not None and args.output is not None:
+            with open(args.output, "w", encoding="utf-8", newline="") as out:
+                out.writelines(text)
+        elif text is not None:
+            sys.stdout.writelines(text)
     except (EptError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    return 0
 
 
 def run() -> int:

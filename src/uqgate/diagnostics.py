@@ -98,7 +98,7 @@ def coverage_risk(
         raise ValueError(
             f"labels shape {labels.shape} does not match {stats.samples} samples"
         )
-    ks = np.asarray(list(k_grid), dtype=np.float64)
+    ks = np.asarray(k_grid, dtype=np.float64)
     coverage = np.empty(ks.shape)
     risk = np.empty(ks.shape)
     for idx, k in enumerate(ks):

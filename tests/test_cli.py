@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism, stream separation."""
 
+import dataclasses
 import io
 import json
 import os
@@ -376,6 +377,12 @@ class TestSynthCommand:
         assert code == 1
         assert "error:" in err
 
+    def test_every_config_field_is_a_parser_dest(self):
+        # cmd_synth builds its SynthConfig from the parsed arguments by field name.
+        args = cli._build_parser().parse_args(
+            ["synth", "--samples", "1", "--classes", "2", "--members", "1", "--out", "x"])
+        assert {field.name for field in dataclasses.fields(SynthConfig)} <= set(vars(args))
+
 
 @pytest.mark.parametrize("epsilon", ["-0.5", "0", "nan"])
 @pytest.mark.parametrize("command", ["report", "coverage", "ood"])
@@ -540,7 +547,7 @@ def _assert_blocks_match(columns, bounds):
     blocks = [[(name, values[start:stop]) for name, values in columns] for start, stop in bounds]
     for fmt in ("csv", "json"):
         got, ref = io.StringIO(), io.StringIO()
-        cli._emit_table(blocks, fmt, got)
+        got.writelines(cli._table_text(blocks, fmt))
         _reference_emit_table(columns, fmt, ref)
         assert got.getvalue() == ref.getvalue()
 
@@ -666,8 +673,8 @@ def _assert_blocked_report_matches(tensor, labels, eps, monkeypatch):
     monkeypatch.setattr(stats, "SAMPLE_BLOCK", 4)
     for fmt in ("csv", "json"):  # JSON cells are repr: every bit of every float
         got, ref = io.StringIO(), io.StringIO()
-        cli._emit_table(cli._report_rows(tensor, labels, configs), fmt, got)
-        cli._emit_table([ref_columns], fmt, ref)
+        got.writelines(cli._table_text(cli._report_rows(tensor, labels, configs), fmt))
+        ref.writelines(cli._table_text([ref_columns], fmt))
         assert got.getvalue() == ref.getvalue()
     return dict(ref_columns)
 
@@ -714,7 +721,7 @@ class TestReportBlocks:
             with open(os.devnull, "w") as sink:
                 tracemalloc.start()
                 try:
-                    cli._emit_table(cli._report_rows(tensor, None, configs), "csv", sink)
+                    sink.writelines(cli._table_text(cli._report_rows(tensor, None, configs), "csv"))
                     return tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -923,14 +930,26 @@ def test_calibrate_frees_the_payload_before_the_search(workdir, capsys, monkeypa
     assert alive == [False]
 
 
-def test_ood_writes_nothing_before_both_files_are_valid(workdir, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (("report", "--input", "bad.ept"), "stream truncated"),
+    (("coverage", "--input", "probs.ept", "--labels", "labels.csv", "--k-grid", "1:2"),
+     "grid must be lo:hi:count"),
+    (("calibrate", "--input", "probs.ept", "--labels", "labels.csv"),
+     "calibration requires a logits tensor"),
+    (("diversity", "--inputs", "probs.ept", "other.ept"), "snapshot 1 has shape"),
+    (("ood", "--id", "probs.ept", "--ood", "bad.ept"), "stream truncated"),  # ID file valid
+], ids=["report", "coverage", "calibrate", "diversity", "ood"])
+def test_failing_command_leaves_no_output_file(workdir, capsys, argv, message):
+    # main opens --output only once the command has read its inputs and returned its text.
     (workdir / "bad.ept").write_bytes(b"EPT1")
-    target = workdir / "auroc.json"
-    code, out, err = run(capsys, "ood", "--id", workdir / "probs.ept", "--ood",
-                         workdir / "bad.ept", "--output", target)
+    write_ept_file(probs_tensor(random_probs(np.random.default_rng(0), 2, 3, 3)),
+                   workdir / "other.ept")
+    target = workdir / "out.txt"
+    argv = [workdir / part if part.endswith((".ept", ".csv")) else part for part in argv]
+    code, out, err = run(capsys, *argv, "--output", target)
     assert code == 1
     assert out == "" and not target.exists()
-    assert err.count("\n") == 1 and err.startswith("error: stream truncated")
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}")
 
 
 def test_duplicate_manifest_keys_fail_cleanly(tmp_path, capsys):

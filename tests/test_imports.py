@@ -188,6 +188,24 @@ def test_cli_selects_its_measures_from_the_table():
     assert not lambdas, f"cli.py wraps a measure in a lambda at lines {lambdas}"
 
 
+def test_main_alone_writes_the_reports():
+    # Each command returns its text, and main writes it to stdout or --output once the
+    # command's checks have passed. synth writes its own files.
+    path = Path(uqgate.__file__).with_name("cli.py")
+    writes = []
+    for func in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(func, ast.FunctionDef) or func.name in ("main", "cmd_synth"):
+            continue
+        for node in ast.walk(func):
+            if ((isinstance(node, ast.Name) and node.id in ("open", "_open_output"))
+                    or (isinstance(node, ast.Attribute)
+                        and ast.unparse(node) in ("json.dump", "sys.stdout"))
+                    or (isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
+                        and not any(kw.arg == "file" for kw in node.keywords))):
+                writes.append((func.name, node.lineno))
+    assert not writes, f"cli.py writes output outside main at {writes}"
+
+
 # Every result record is a NamedTuple: its fields, in order, are the ones its attributes name.
 RESULT_FIELDS = {
     "CoverageRiskCurve": ("k", "coverage", "risk"),
