@@ -211,6 +211,7 @@ def cmd_report(args) -> Iterable[str]:
 
 
 def cmd_diversity(args) -> Iterable[str]:
+    diagnostics.check_tau(args.tau)
     # A generator, so one snapshot is in memory at a time.
     series = diagnostics.collapse_epoch(map(_read_input, args.inputs), tau=args.tau)
     if args.format == "csv":

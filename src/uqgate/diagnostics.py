@@ -44,6 +44,12 @@ def diversity(tensor: PredictionTensor) -> float:
     return float(ClassStats.from_tensor(tensor).sigma.mean())
 
 
+def check_tau(tau: float) -> None:
+    """The one collapse-threshold rule, shared by :func:`collapse_epoch` and the CLI: tau > 0."""
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+
+
 def _summary(tensor: PredictionTensor) -> tuple[tuple[int, int], int | None, float]:
     """What :func:`collapse_epoch` keeps of a snapshot: (N, C), epoch, diversity."""
     manifest = tensor.manifest
@@ -65,9 +71,7 @@ def collapse_epoch(
     values = []
     for position, (found, epoch, value) in enumerate(map(_summary, snapshots)):
         if shape is None:
-            # Checked here, not before the loop: no snapshot at all is the first error.
-            if not tau > 0:
-                raise ValueError(f"tau must be positive, got {tau}")
+            check_tau(tau)  # here, not before the loop: no snapshot at all is the first error
             shape = found
         elif found != shape:
             raise EptValidationError(

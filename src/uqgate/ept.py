@@ -31,6 +31,8 @@ VERSION = 1
 KINDS = ("probs", "logits")
 TASKS = ("multiclass", "multilabel")
 PRECISIONS = {"binary32": "<f4", "binary64": "<f8"}
+# The manifest fields every header holds, in the order they are written; "epoch" follows when set.
+HEADER_KEYS = ("version", "kind", "task", "members", "samples", "classes", "precision")
 
 # Dumped binary32 softmax rows accumulate rounding; tighter bounds reject
 # legitimate files.
@@ -98,15 +100,7 @@ class EptManifest:
         return self.members * self.samples * self.classes * self.dtype.itemsize
 
     def to_json(self) -> str:
-        fields = {
-            "version": self.version,
-            "kind": self.kind,
-            "task": self.task,
-            "members": self.members,
-            "samples": self.samples,
-            "classes": self.classes,
-            "precision": self.precision,
-        }
+        fields = {key: getattr(self, key) for key in HEADER_KEYS}
         if self.epoch is not None:
             fields["epoch"] = self.epoch
         return json.dumps(fields, separators=(",", ":"))
@@ -121,11 +115,10 @@ class EptManifest:
             raise EptFormatError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(fields, dict):
             raise EptFormatError("manifest must be a JSON object")
-        required = {"version", "kind", "task", "members", "samples", "classes", "precision"}
-        missing = required - fields.keys()
+        missing = set(HEADER_KEYS) - fields.keys()
         if missing:
             raise EptFormatError(f"manifest missing fields: {sorted(missing)}")
-        unknown = fields.keys() - required - {"epoch"}
+        unknown = fields.keys() - {*HEADER_KEYS, "epoch"}
         if unknown:
             raise EptFormatError(f"manifest has unknown fields: {sorted(unknown)}")
         manifest = cls(**fields)  # every key is a field: checked above

@@ -5,7 +5,8 @@ member m sees z_n plus Normal(0, s_noise^2) perturbations, and the label is
 sampled from softmax(z_n), so the task carries genuine aleatoric noise.
 Collapse mode reuses the same z_n across epochs while the member noise
 scale decays as s_noise * exp(-decay * t), imitating a committee whose
-members converge to one solution.
+members converge to one solution. One helper thread, for the whole series,
+draws each epoch's member noise while the previous epoch is handed on.
 
 Reproducibility contract: all draws come from numpy's Philox counter-based
 bit generator with key (seed, stream_tag << 32 | epoch), where stream_tag is
@@ -20,7 +21,6 @@ tensor's last bits also depend on the numpy build and on the CPU kernels
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -136,11 +136,13 @@ def generate_collapse_series(cfg: SynthConfig) -> list[tuple[int, PredictionTens
 def _collapse_epochs(cfg: SynthConfig) -> Iterator[tuple[int, PredictionTensor]]:
     """The (epoch, tensor) pairs of :func:`generate_collapse_series`, one at a time.
 
-    A helper thread, one per epoch, draws epoch e + 1's member logits into the
-    other of two buffers while epoch e is softmaxed and handed on; the Philox
-    fill releases the GIL, so the draw overlaps that work. The helper runs
-    only private code, and every draw is the one a serial loop makes.
+    One helper thread, for the whole series, draws epoch e + 1's member logits
+    into the other of two buffers while epoch e is softmaxed and handed on; the
+    Philox fill releases the GIL, so the draw overlaps that work. The helper
+    runs only private code, and every draw is the one a serial loop makes.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here: importing the CLI loads none of it
+
     cfg.validate()
     if cfg.mode != "collapse":
         raise ValueError("generate_collapse_series requires mode='collapse'")
@@ -153,38 +155,12 @@ def _collapse_epochs(cfg: SynthConfig) -> Iterator[tuple[int, PredictionTensor]]
         _member_logits(cfg, z, scale, epoch, out=buffers[epoch % 2])
 
     draw(0)
-    ahead = None
-    try:
+    # Leaving the block joins the helper: the series ended, a draw failed, or it was closed.
+    with ThreadPoolExecutor(max_workers=1) as helper:
         for epoch in range(cfg.epochs):
-            if ahead is not None:
-                ahead.result()  # epoch's logits are drawn, or the draw's error is raised here
-            ahead = _Ahead(draw, epoch + 1) if epoch + 1 < cfg.epochs else None
+            ahead = helper.submit(draw, epoch + 1) if epoch + 1 < cfg.epochs else None
             # Bound to no name here: a consumer that drops each tensor holds one at a time.
             yield epoch, _adopt_tensor(softmax(buffers[epoch % 2]), kind="probs",
                                        precision="binary64", epoch=epoch)
-    finally:
-        if ahead is not None:
-            ahead.join()  # a closed or failed series leaves no thread behind
-
-
-class _Ahead:
-    """One call running on a helper thread; :meth:`result` raises its error in the caller."""
-
-    def __init__(self, fn, *args):
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._run, args=(fn, args), daemon=True)
-        self._thread.start()
-
-    def _run(self, fn, args) -> None:
-        try:
-            fn(*args)
-        except BaseException as exc:  # handed to the caller by result()
-            self._error = exc
-
-    def join(self) -> None:
-        self._thread.join()
-
-    def result(self) -> None:
-        self.join()
-        if self._error is not None:
-            raise self._error
+            if ahead is not None:
+                ahead.result()  # the next epoch's logits are drawn, or the draw's error is raised

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,3 +7,12 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves running a thread that was not alive before it."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads left running: {left}"

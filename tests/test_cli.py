@@ -176,6 +176,11 @@ class TestDiversity:
         assert code == 1
         assert "strictly increasing" in err
 
+    def test_tau_checked_before_any_input_is_read(self, tmp_path, capsys):
+        code, out, err = run(capsys, "diversity", "--inputs", tmp_path / "missing.ept",
+                             "--tau", "-1")
+        assert (code, out, err) == (1, "", "error: tau must be positive, got -1.0\n")
+
 
 class TestCoverage:
     def test_certain_tensor_full_coverage(self, tmp_path, capsys):

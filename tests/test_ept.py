@@ -497,11 +497,23 @@ def _outcome(source):
     return tensor.manifest, tensor.data.tobytes()
 
 
-def _report(path):
+def _cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["report", "--input", str(path)])
+        code = main([str(arg) for arg in argv])
     return code, out.getvalue(), err.getvalue()
+
+
+# Every CLI slot that reads a container, as argv with HOSTILE, PARTNER (a valid probs
+# file) and LABELS in their places.
+_INPUT_SLOTS = {
+    "coverage --input": ["coverage", "--input", "HOSTILE", "--labels", "LABELS"],
+    "calibrate --input": ["calibrate", "--input", "HOSTILE", "--labels", "LABELS"],
+    "ood --id": ["ood", "--id", "HOSTILE", "--ood", "PARTNER"],
+    "ood --ood": ["ood", "--id", "PARTNER", "--ood", "HOSTILE"],
+    "diversity first": ["diversity", "--inputs", "HOSTILE", "PARTNER"],
+    "diversity last": ["diversity", "--inputs", "PARTNER", "HOSTILE"],
+}
 
 
 class TestHostileContainers:
@@ -514,11 +526,36 @@ class TestHostileContainers:
 
         path = tmp_path_factory.getbasetemp() / "hostile.ept"
         path.write_bytes(raw)
-        code, out, err = _report(path)
+        code, out, err = _cli("report", "--input", path)
         if isinstance(got[0], EptManifest):
             assert code == 0 and out
         else:
             assert (code, out, err) == (1, "", f"error: {got[1]}\n")
+
+    @pytest.mark.parametrize("slot", _INPUT_SLOTS)
+    @given(raw=_hostile_containers())
+    @settings(max_examples=150, deadline=None)
+    def test_every_input_slot(self, slot, raw, tmp_path_factory):
+        got = _outcome(io.BytesIO(raw))
+        manifest = got[0] if isinstance(got[0], EptManifest) else None
+        # The partner and labels fit a file that loads, so its run can succeed.
+        samples, classes = (manifest.samples, manifest.classes) if manifest else (3, 2)
+        base = tmp_path_factory.getbasetemp()
+        paths = {"HOSTILE": base / "hostile.ept", "PARTNER": base / "partner.ept",
+                 "LABELS": base / "labels.csv"}
+        paths["HOSTILE"].write_bytes(raw)
+        ept.write_ept_file(probs_tensor(np.full((2, samples, classes), 1 / classes)),
+                           paths["PARTNER"])
+        paths["LABELS"].write_bytes(b"0\n" * samples)
+        code, out, err = _cli(*(paths.get(arg, arg) for arg in _INPUT_SLOTS[slot]))
+        if manifest is None:
+            assert (code, out, err) == (1, "", f"error: {got[1]}\n")
+            return
+        lines = err.splitlines()
+        assert all(line.startswith(("note: ", "error: ")) for line in lines), err
+        errors = [line for line in lines if line.startswith("error: ")]
+        assert (code, len(errors)) in ((0, 0), (1, 1)), err
+        assert bool(out) == (code == 0)
 
     @pytest.mark.parametrize("attack,choice", [
         (attack, choice) for attack, choices in _MANIFEST_ATTACKS.items() for choice in choices

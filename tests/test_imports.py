@@ -118,6 +118,13 @@ def test_cli_import_loads_no_scipy():
     assert set(added) <= set(sys.stdlib_module_names) | {"uqgate"}
 
 
+def test_cli_import_loads_no_executor():
+    # synth imports concurrent.futures, and logging with it, only when a collapse series runs.
+    code = ("import sys, uqgate.cli\n"
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    assert _run_child(code).strip() == "[]"
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
 def test_cli_import_starts_no_blas_threads():
     code = "import os, uqgate.cli; print(len(os.listdir('/proc/self/task')))"

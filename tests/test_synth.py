@@ -222,3 +222,20 @@ class TestHelperThread:
         assert threading.active_count() == before + 1
         series.close()
         assert threading.active_count() == before
+
+    def test_one_helper_thread_draws_every_later_epoch(self, monkeypatch):
+        draw = synth._member_logits
+        drawn_on = {}  # epoch -> Thread; each is kept alive, so no ident is reused
+
+        def recording(cfg, z, s_noise, epoch, out=None):
+            drawn_on[epoch] = threading.current_thread()
+            return draw(cfg, z, s_noise, epoch, out)
+
+        monkeypatch.setattr(synth, "_member_logits", recording)
+        generate_collapse_series(SynthConfig(**BASE, mode="collapse", epochs=5))
+        assert sorted(drawn_on) == [0, 1, 2, 3, 4]
+        assert drawn_on[0] is threading.current_thread()
+        helper = drawn_on[1]
+        assert helper is not threading.current_thread()
+        assert all(drawn_on[epoch] is helper for epoch in (2, 3, 4))
+        assert not helper.is_alive()
