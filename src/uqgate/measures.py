@@ -26,10 +26,6 @@ from .gating import Decomposition, GateConfig
 from .stats import LOG_CLAMP, Ensemble, blockwise, class_sum_into, entropy
 from .stats import member_probs  # noqa: F401  (kept bound here: perfbench's tracer wraps it)
 
-# Partner rows per mixture step of pairwise_js. At 20x20000x10: 1 row 0.24 s,
-# 2 to 8 rows 0.18-0.19 s, all 19 partners at once 0.20 s.
-JS_ROWS = 4
-
 
 def decompose(ens: Ensemble) -> Decomposition:
     """Ungated per-sample TU/AU/EU: entropy of the mean, mean entropy, difference."""
@@ -58,34 +54,34 @@ def pairwise_js(ens: Ensemble) -> np.ndarray:
     JS(p, q) = H((p + q) / 2) - (H(p) + H(q)) / 2; bounded by ln 2. The mean
     still covers all M^2 ordered pairs, but each unordered pair's mixture
     entropy (H_ij = H_ji bit for bit: IEEE addition commutes) is computed
-    once and summed in ordered-pair order. The view is expected to be a
-    sample block of :func:`~uqgate.stats.ensemble_blocks`, which bounds the
-    (M, M, B) and (C, M, B) arrays here. It is copied classes first once, so
-    every mixture step is a row op over whole class rows and
-    :func:`~uqgate.stats.class_sum_into` adds the class terms in numpy's own
-    order, in place in the step's scratch; self pairs are member entropies,
-    as (p + p) / 2 == p.
+    once and summed in ordered-pair order. The view is copied classes first,
+    (C, M, B), and one step takes the pairs (i, i + d) at one member offset
+    d: it adds two slices of whole class rows, with no broadcast, and
+    :func:`~uqgate.stats.class_sum_into` adds their class terms in numpy's
+    own order, in place. Self pairs are member entropies, as (p + p) / 2 == p.
+    The budget of :func:`~uqgate.stats.ensemble_blocks` bounds the copy and
+    the (C, M - 1, B) step arrays; the (M, M, B) pair entropies exceed it
+    when M > C.
     """
     m, b, c = ens.probs.shape
     member_h = ens.member_entropy
     rows = np.ascontiguousarray(ens.probs.transpose(2, 0, 1))  # (C, M, B)
-    mix = np.empty((c, JS_ROWS, b))
-    terms = np.empty((c, JS_ROWS, b))
+    mix = np.empty((c, m - 1, b))
+    terms = np.empty((c, m - 1, b))
     h = np.empty((m, m, b))  # h[i, j] = H((p_i + p_j) / 2)
-    diagonal = np.arange(m)
-    h[diagonal, diagonal] = member_h
-    for i in range(m):
-        for lo in range(i + 1, m, JS_ROWS):
-            hi = min(lo + JS_ROWS, m)
-            mx, tx = mix[:, :hi - lo], terms[:, :hi - lo]
-            np.add(rows[:, i, None], rows[:, lo:hi], out=mx)
-            mx *= 0.5
-            np.maximum(mx, LOG_CLAMP, out=tx)
-            np.log(tx, out=tx)
-            tx *= mx
-            hx = class_sum_into(tx, out=h[i, lo:hi])  # tx is scratch here
-            np.negative(hx, out=hx)
-            h[lo:hi, i] = hx
+    member = np.arange(m)
+    h[member, member] = member_h
+    for d in range(1, m):
+        mx, tx = mix[:, :m - d], terms[:, :m - d]
+        np.add(rows[:, :m - d], rows[:, d:], out=mx)
+        mx *= 0.5
+        np.maximum(mx, LOG_CLAMP, out=tx)
+        np.log(tx, out=tx)
+        tx *= mx
+        hx = class_sum_into(tx, out=tx[0])  # tx is scratch here
+        np.negative(hx, out=hx)
+        h[member[:m - d], member[d:]] = hx
+        h[member[d:], member[:m - d]] = hx
     mix_h_total = np.zeros(b)
     for per_i in h.sum(axis=1):
         mix_h_total += per_i

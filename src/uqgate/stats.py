@@ -20,8 +20,9 @@ from .ept import EptValidationError, PredictionTensor, _adopt_tensor
 # class while keeping one-hot rows finite.
 LOG_CLAMP = 1e-12
 
-# Samples per block of a blocked evaluation: bounds every (M, B, C) intermediate.
-SAMPLE_BLOCK = 1024
+# Values per sample block of a blocked evaluation, M * B * C: bounds every
+# (M, B, C) intermediate whatever M and C are; 512-sample blocks at 20x.x10.
+BLOCK_VALUES = 512 * 20 * 10
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -110,24 +111,27 @@ def member_probs(tensor: PredictionTensor, samples: slice = slice(None)) -> np.n
     return np.clip(values, 0.0, 1.0, dtype=np.float64)  # one float64 copy, binary32 too
 
 
-def sample_blocks(n: int) -> list[tuple[int, int]]:
-    """[start, stop) bounds of consecutive blocks of SAMPLE_BLOCK samples covering n.
+def sample_blocks(n: int, block: int) -> list[tuple[int, int]]:
+    """[start, stop) bounds of consecutive blocks of ``block`` >= 2 samples covering n.
 
     The last block takes a lone leftover sample, so no block has one sample
     unless n = 1: numpy sums a lone sample's member terms pairwise, not in
     order, so such a block would change the last bits of member means.
     """
-    bounds = [0, *range(SAMPLE_BLOCK, n - 1, SAMPLE_BLOCK), n]
+    bounds = [0, *range(block, n - 1, block), n]
     return list(zip(bounds, bounds[1:]))
 
 
 def ensemble_blocks(tensor: PredictionTensor) -> Iterator[tuple[int, int, Ensemble]]:
     """One :class:`Ensemble` view per sample block, with its [start, stop) bounds.
 
-    Every per-sample measure of a block's view is bit-identical to the same
-    samples of the whole tensor's view.
+    Blocks of an M x N x C tensor have max(2, BLOCK_VALUES // (M * C)) samples,
+    so a block's (M, B, C) arrays hold about BLOCK_VALUES values whatever M
+    and C are. Every per-sample measure of a block's view is bit-identical
+    to the same samples of the whole tensor's view, at any block size.
     """
-    for start, stop in sample_blocks(tensor.manifest.samples):
+    m, n, c = tensor.data.shape
+    for start, stop in sample_blocks(n, max(2, BLOCK_VALUES // (m * c))):
         yield start, stop, Ensemble(member_probs(tensor, slice(start, stop)))
 
 
@@ -136,8 +140,8 @@ def blockwise(tensor: PredictionTensor, measure: Callable[[Ensemble], object]):
 
     ``measure`` returns one per-sample array, or a sequence of them; the
     result is then one joined array, or a list of joined arrays in order.
-    Peak memory beyond the payload is one block's work plus the per-sample
-    results, held once per block and once joined.
+    Peak memory beyond the payload is one block's work, sized by BLOCK_VALUES,
+    plus the per-sample results, held once per block and once joined.
     """
     results = [measure(ens) for _, _, ens in ensemble_blocks(tensor)]
     if isinstance(results[0], np.ndarray):

@@ -87,3 +87,9 @@ def class_sum(x):
     """
     scratch = np.moveaxis(np.asarray(x, dtype=np.float64), -2, 0).copy()
     return class_sum_into(scratch, np.empty(scratch.shape[1:]))
+
+
+def block_budget(tensor, samples):
+    """The stats.BLOCK_VALUES that splits ``tensor`` into blocks of ``samples`` >= 2 samples."""
+    members, _, classes = tensor.data.shape
+    return samples * members * classes

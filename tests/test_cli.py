@@ -25,7 +25,7 @@ from uqgate.cli import main
 from uqgate.ept import read_ept_file, write_labels
 from uqgate.stats import Ensemble, member_probs
 
-from helpers import old_softmax_tensor, ordered_pair_js, probs_tensor, random_probs
+from helpers import block_budget, old_softmax_tensor, ordered_pair_js, probs_tensor, random_probs
 
 
 @pytest.fixture
@@ -539,13 +539,12 @@ def _reference_emit_table(columns, fmt, out):
 
 def _report_columns(data, eps=1e-8, labels=None):
     configs = [GateConfig(k=k, epsilon=eps) for k in (0.5, 1.0, 2.0)]
-    [columns] = cli._report_rows(probs_tensor(data), labels, configs)  # N < SAMPLE_BLOCK
+    [columns] = cli._report_rows(probs_tensor(data), labels, configs)  # N fits one block
     return columns
 
 
-def _assert_tables_match(columns, rows_per_block, monkeypatch):
-    monkeypatch.setattr(stats, "SAMPLE_BLOCK", rows_per_block)
-    _assert_blocks_match(columns, stats.sample_blocks(len(columns[0][1])))
+def _assert_tables_match(columns, rows_per_block):
+    _assert_blocks_match(columns, stats.sample_blocks(len(columns[0][1]), rows_per_block))
 
 
 def _assert_blocks_match(columns, bounds):
@@ -559,39 +558,39 @@ def _assert_blocks_match(columns, bounds):
 
 class TestEmitTable:
     @pytest.mark.parametrize("samples", [1, 3, 4, 5, 8, 9])
-    def test_report_rows_around_the_block_size(self, rng, monkeypatch, samples):
+    def test_report_rows_around_the_block_size(self, rng, samples):
         data = random_probs(rng, 5, samples, 4)
         labels = rng.integers(0, 4, size=samples)
-        _assert_tables_match(_report_columns(data, labels=labels), 4, monkeypatch)
+        _assert_tables_match(_report_columns(data, labels=labels), 4)
 
-    def test_uncertain_and_decided_rows(self, rng, monkeypatch):
+    def test_uncertain_and_decided_rows(self, rng):
         confident = np.broadcast_to(np.array([0.9, 0.05, 0.05]), (4, 3, 3))
         data = np.concatenate([confident, random_probs(rng, 4, 7, 3)], axis=1)
         decisions = dict(_report_columns(data))["decision"]
         assert (decisions == UNCERTAIN).any() and (decisions != UNCERTAIN).any()
-        _assert_tables_match(_report_columns(data), 4, monkeypatch)
+        _assert_tables_match(_report_columns(data), 4)
 
-    def test_infinite_snr(self, rng, monkeypatch):
+    def test_infinite_snr(self, rng):
         # One member has zero spread, so a subnormal eps makes every SNR infinite.
         columns = _report_columns(random_probs(rng, 1, 6, 3), eps=5e-324)
         assert np.isinf(dict(columns)["snr"]).all()
-        _assert_tables_match(columns, 4, monkeypatch)
+        _assert_tables_match(columns, 4)
 
-    def test_nan_and_negative_zero_cells(self, monkeypatch):
+    def test_nan_and_negative_zero_cells(self):
         columns = [("sample", np.arange(5)),
                    ("risk", np.array([np.nan, -0.0, 0.0, -np.inf, 1e-300])),
                    ("decision", np.array([UNCERTAIN, 0, 2, UNCERTAIN, 1]))]
-        _assert_tables_match(columns, 2, monkeypatch)
+        _assert_tables_match(columns, 2)
 
-    def test_diversity_bool_collapse_column(self, monkeypatch):
+    def test_diversity_bool_collapse_column(self):
         columns = [("epoch", np.arange(6)),
                    ("diversity", np.array([0.3, 0.1, 1e-4, 5e-5, 1e-6, 0.0])),
                    ("collapse", np.arange(6) == 2)]
-        _assert_tables_match(columns, 4, monkeypatch)
+        _assert_tables_match(columns, 4)
 
-    def test_no_rows(self, monkeypatch):
+    def test_no_rows(self):
         columns = [("epoch", np.arange(0)), ("diversity", np.zeros(0))]
-        _assert_tables_match(columns, 4, monkeypatch)
+        _assert_tables_match(columns, 4)
 
     @pytest.mark.parametrize("rows_per_block", [1, 2, 3, 6, 7, 8])
     def test_every_column_kind_at_any_block_size(self, rng, rows_per_block):
@@ -675,7 +674,7 @@ def _whole_report_columns(tensor, labels, configs):
 def _assert_blocked_report_matches(tensor, labels, eps, monkeypatch):
     configs = [GateConfig(k=k, epsilon=eps) for k in (0.5, 1.0, 2.0)]
     ref_columns = _whole_report_columns(tensor, labels, configs)
-    monkeypatch.setattr(stats, "SAMPLE_BLOCK", 4)
+    monkeypatch.setattr(stats, "BLOCK_VALUES", block_budget(tensor, 4))
     for fmt in ("csv", "json"):  # JSON cells are repr: every bit of every float
         got, ref = io.StringIO(), io.StringIO()
         got.writelines(cli._table_text(cli._report_rows(tensor, labels, configs), fmt))
@@ -710,30 +709,49 @@ class TestReportBlocks:
     @pytest.mark.parametrize("samples", [1, 5, 13])
     def test_ood_scores_identical_to_one_block(self, rng, monkeypatch, members, samples):
         tensor = probs_tensor(random_probs(rng, members, samples, 4))
-        whole = cli._ood_scores(tensor, cli.OOD_MEASURES, GateConfig(k=1.0))  # N < SAMPLE_BLOCK
-        monkeypatch.setattr(stats, "SAMPLE_BLOCK", 4)
+        whole = cli._ood_scores(tensor, cli.OOD_MEASURES, GateConfig(k=1.0))  # N fits one block
+        monkeypatch.setattr(stats, "BLOCK_VALUES", block_budget(tensor, 4))
         blocked = cli._ood_scores(tensor, cli.OOD_MEASURES, GateConfig(k=1.0))
         for got, ref in zip(blocked, whole, strict=True):
             assert got.tobytes() == ref.tobytes()
 
     def test_memory_beyond_the_payload_does_not_grow_with_samples(self, monkeypatch):
-        monkeypatch.setattr(stats, "SAMPLE_BLOCK", 128)
-        configs = [GateConfig(k=k) for k in (0.5, 1.0, 2.0, 4.0)]
+        monkeypatch.setattr(stats, "BLOCK_VALUES", 128 * 16 * 32)  # 128-sample blocks
 
         def traced_peak(blocks):
-            # The payload is allocated before tracing starts, so the peak excludes it.
-            tensor = probs_tensor(random_probs(np.random.default_rng(0), 16, 128 * blocks, 32))
-            with open(os.devnull, "w") as sink:
-                tracemalloc.start()
-                try:
-                    sink.writelines(cli._table_text(cli._report_rows(tensor, None, configs), "csv"))
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+            return _report_peak(random_probs(np.random.default_rng(0), 16, 128 * blocks, 32))
 
         # One (16, 128, 32) float64 block is 512 KiB; the whole-tensor report
         # grew by several payloads (6 blocks each) between these sizes.
         assert traced_peak(8) - traced_peak(2) < 64 * 1024
+
+    def test_memory_beyond_the_payload_does_not_grow_with_classes(self):
+        def traced_peak(classes):
+            # Three blocks and one sample at the default budget: a payload of about
+            # 3 * BLOCK_VALUES values, 2.3 MiB, at every C.
+            samples = 3 * (stats.BLOCK_VALUES // (10 * classes)) + 1
+            return _report_peak(random_probs(np.random.default_rng(0), 10, samples, classes))
+
+        # With 1024-sample blocks at every C, the C = 100 and C = 1000 reports
+        # were one block each and peaked 3.8 MiB above the C = 10 one.
+        at_10, at_100, at_1000 = map(traced_peak, (10, 100, 1000))
+        assert max(at_100, at_1000) - at_10 < 512 * 1024
+
+
+def _report_peak(data):
+    """tracemalloc's peak while the report of these probabilities is written, in bytes.
+
+    The payload is allocated before tracing starts, so the peak excludes it.
+    """
+    tensor = probs_tensor(data)
+    configs = [GateConfig(k=k) for k in (0.5, 1.0, 2.0, 4.0)]
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            sink.writelines(cli._table_text(cli._report_rows(tensor, None, configs), "csv"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 @pytest.mark.parametrize("argv", [
@@ -803,16 +821,17 @@ def test_logits_identical_to_whole_tensor_softmax(logits_files, capsys, monkeypa
         old.setattr(stats.ClassStats, "from_tensor",
                     classmethod(lambda cls, tensor: Ensemble(member_probs(tensor)).stats))
         ref = run(capsys, *argv)
-    monkeypatch.setattr(stats, "SAMPLE_BLOCK", 4)
+    monkeypatch.setattr(stats, "BLOCK_VALUES", 4 * 9 * 4)  # 4-sample blocks of both 9x.x4 files
     assert run(capsys, *argv) == ref
     assert ref[0] == 0 and "applying softmax" in ref[2]
 
 
-def test_logits_memory_stays_below_the_tensor():
+def test_logits_memory_stays_below_the_tensor(monkeypatch):
     # A 20x16384x10 logits tensor is 25 MiB as float64; the whole-tensor
     # softmax route peaked at about three times that.
     rng = np.random.default_rng(0)
-    tensor = make_tensor(rng.normal(size=(20, 16 * stats.SAMPLE_BLOCK, 10)), kind="logits")
+    monkeypatch.setattr(stats, "BLOCK_VALUES", 1024 * 20 * 10)  # 1024-sample blocks
+    tensor = make_tensor(rng.normal(size=(20, 16 * 1024, 10)), kind="logits")
     configs = [GateConfig(k=k) for k in (0.5, 1.0, 2.0, 4.0)]
     passes = {
         "from_tensor": lambda: stats.ClassStats.from_tensor(tensor),
@@ -831,12 +850,13 @@ def test_logits_memory_stays_below_the_tensor():
 @pytest.mark.parametrize("kind", ["probs", "logits"])
 @pytest.mark.parametrize("name", ["standard_decomposition", "epce", "epkl", "epjs",
                                   "gated_decomposition"])
-def test_tensor_measures_memory_stays_below_the_payload(kind, name):
+def test_tensor_measures_memory_stays_below_the_payload(monkeypatch, kind, name):
     # Each tensor-level measure evaluates one sample block at a time, so beyond
     # the payload it holds one block's work and the per-sample results. On one
     # whole-tensor view these peaked at 2.3-3.8 payloads.
     rng = np.random.default_rng(0)
-    shape = (6, 16 * stats.SAMPLE_BLOCK + 3, 8)
+    monkeypatch.setattr(stats, "BLOCK_VALUES", 1024 * 6 * 8)  # 1024-sample blocks
+    shape = (6, 16 * 1024 + 3, 8)
     data = random_probs(rng, *shape) if kind == "probs" else 4.0 * rng.normal(size=shape)
     tensor = make_tensor(data, kind=kind)
     module = gating if name == "gated_decomposition" else measures
@@ -989,7 +1009,8 @@ def js_files(workdir):
 ])
 def test_epjs_bytes_match_ordered_pair_reference(js_files, capsys, monkeypatch, argv):
     argv = [js_files / part if part.endswith((".ept", ".csv")) else part for part in argv]
-    monkeypatch.setattr(stats, "SAMPLE_BLOCK", 4)  # several blocks, with a remainder
+    # Several blocks, with a remainder: 4 samples of the 5x20x4 files, 2 of the 7x11x100 ones.
+    monkeypatch.setattr(stats, "BLOCK_VALUES", 4 * 5 * 4)
     got = run(capsys, *argv)
     monkeypatch.setattr(measures, "pairwise_js", lambda ens: ordered_pair_js(ens.probs))
     assert run(capsys, *argv) == got

@@ -581,6 +581,77 @@ class TestHostileContainers:
         assert got[1].startswith(prefix)
 
 
+# Every CLI slot that reads a label file, as argv with file names in place of paths,
+# on a valid 4-sample, 3-class partner: probs, or logits for calibrate.
+_LABEL_SLOTS = {
+    "report --labels": ["report", "--input", "probs.ept", "--labels", "labels.csv"],
+    "coverage --labels": ["coverage", "--input", "probs.ept", "--labels", "labels.csv"],
+    "calibrate --labels": ["calibrate", "--input", "logits.ept", "--labels", "labels.csv"],
+}
+
+_HOSTILE_LINES = st.one_of(
+    st.sampled_from([b"", b"3", b"10", b"0\r", b"\xef\xbb\xbf0", b"\x00", b"1\x00", b" 1",
+                     b"+1", b"-0", b"1,0", b"1.0"]),
+    # Not UTF-8, then digits that are not ASCII: Arabic-Indic 1, fullwidth 1, superscript 2.
+    st.sampled_from([b"\xff", b"\xc3", b"\xd9\xa1", b"\xef\xbc\x91", b"\xc2\xb2"]),
+    st.builds(bytes.__mul__, st.sampled_from([b"0", b"9"]), st.integers(2, 6000)),  # long digits
+    st.binary(max_size=4),
+)
+
+
+@st.composite
+def _hostile_labels(draw):
+    """A 4-sample label file with up to two lines replaced, added or dropped (BOM, CR, NUL,
+    non-UTF-8 and long digit lines, blank lines), a BOM or not, a final LF or not."""
+    lines = draw(st.lists(st.sampled_from([b"0", b"1", b"2", b"00", b"0002"]),
+                          min_size=4, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "drop"]))
+        lines[at:at + (edit != "insert")] = [] if edit == "drop" else [draw(_HOSTILE_LINES)]
+    raw = b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + raw
+
+
+def _valid_labels(raw, samples=4, classes=3):
+    """Whether ``raw`` is a label file: UTF-8, one ASCII integer in [0, classes) per LF line."""
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return False
+    if lines[-1] == "":
+        lines.pop()
+    return len(lines) == samples and all(  # leading zeros, then one digit below classes
+        line.isascii() and line.isdigit() and len(line.lstrip("0")) <= 1
+        and int(line[-1]) < classes for line in lines)
+
+
+@pytest.fixture(scope="module")
+def label_partners(tmp_path_factory):
+    base = tmp_path_factory.mktemp("labels")
+    logits = np.random.default_rng(0).normal(size=(2, 4, 3))
+    ept.write_ept_file(probs_tensor(np.exp(logits) / np.exp(logits).sum(-1, keepdims=True)),
+                       base / "probs.ept")
+    ept.write_ept_file(logits_tensor(logits), base / "logits.ept")
+    return base
+
+
+class TestHostileLabels:
+    @pytest.mark.parametrize("slot", _LABEL_SLOTS)
+    @given(raw=_hostile_labels())
+    @settings(max_examples=400, deadline=None)
+    def test_every_labels_slot(self, slot, raw, label_partners):
+        paths = {name: label_partners / name for name in ("probs.ept", "logits.ept", "labels.csv")}
+        paths["labels.csv"].write_bytes(raw)
+        code, out, err = _cli(*(paths.get(arg, arg) for arg in _LABEL_SLOTS[slot]))
+        # A warning would have raised here: pytest turns warnings into errors.
+        assert code == (0 if _valid_labels(raw) else 1), err
+        lines = err.splitlines()
+        assert all(line.startswith(("note: ", "error: ")) for line in lines), err
+        assert sum(line.startswith("error: ") for line in lines) == code
+        assert bool(out) == (code == 0)
+
+
 def test_duplicate_manifest_keys_rejected():
     text = ('{"version":1,"kind":"logits","task":"multiclass","kind":"probs","members":2,'
             '"samples":1,"classes":2,"precision":"binary64","members":1}')

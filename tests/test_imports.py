@@ -103,7 +103,7 @@ def test_block_policy_stays_in_stats(path):
     # Every blocked consumer maps over stats.ensemble_blocks (or stats.blockwise),
     # so the block size and the block bounds are known in one module.
     uses = [(line, name) for line, name in _names(path)
-            if name in ("SAMPLE_BLOCK", "sample_blocks")]
+            if name in ("BLOCK_VALUES", "sample_blocks")]
     assert not uses, f"{path.name} names the sample-block policy at {uses}"
 
 

@@ -19,12 +19,12 @@ from uqgate import (
     make_tensor,
     standard_decomposition,
 )
-from uqgate import gating, measures, stats
+from uqgate import cli, gating, measures, stats
 from uqgate.gating import decompose_gated
 from uqgate.measures import decompose, pairwise_ce, pairwise_js, pairwise_kl
 from uqgate.stats import member_probs
 
-from helpers import ordered_pair_js, probs_tensor, random_probs
+from helpers import block_budget, ordered_pair_js, probs_tensor, random_probs
 
 CLAMP = 1e-12
 
@@ -282,14 +282,14 @@ class TestViewMatchesReference:
 @st.composite
 def _js_cases(draw):
     block = draw(st.integers(2, 5))
-    # Up to 10 members: every remainder of JS_ROWS partner rows occurs, and from
-    # 8 on numpy sums a lone sample's terms pairwise. From 8 classes on,
-    # class_sum_into takes its unrolled path, and above 128 its split.
+    # Up to 20 members, the dense member count: every member offset step from
+    # 1 to 19, and from 8 members on numpy sums a lone sample's terms pairwise.
+    # From 8 classes on, class_sum_into takes its unrolled path, and above 128 its split.
     classes = draw(st.one_of(st.integers(2, 5), st.sampled_from([8, 9, 10, 100, 129])))
-    shape = (draw(st.integers(1, 10)), draw(st.integers(1, 3 * block + 2)), classes)
-    if classes <= 5:
+    shape = (draw(st.integers(1, 20)), draw(st.integers(1, 3 * block + 2)), classes)
+    if classes <= 5 and shape[0] <= 10:
         weights = draw(hnp.arrays(np.float64, shape, elements=_weights))
-    else:  # drawn element by element, wide rows would be slow: seed them instead
+    else:  # drawn element by element, wide rows or many members would be slow: seed them
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         weights = rng.random(shape) * (rng.random(shape) < draw(st.sampled_from([0.1, 0.7, 1.0])))
     weights[..., 0] += weights.sum(axis=-1) == 0
@@ -301,7 +301,7 @@ def _js_cases(draw):
 
 def _assert_blocked_js_matches(tensor, block):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stats, "SAMPLE_BLOCK", block)
+        patch.setattr(stats, "BLOCK_VALUES", block_budget(tensor, block))
         got = epjs(tensor)
     ref = _ref_epjs(tensor)
     assert np.array_equal(got, ref)
@@ -326,20 +326,28 @@ class TestBlockedEpjs:
             _assert_blocked_js_matches(tensor, 4)
 
     def test_default_block_on_a_larger_tensor(self, rng):
-        tensor = probs_tensor(random_probs(rng, 12, 2 * stats.SAMPLE_BLOCK + 1, 4))
-        _assert_blocked_js_matches(tensor, stats.SAMPLE_BLOCK)
+        block = stats.BLOCK_VALUES // (12 * 4)
+        tensor = probs_tensor(random_probs(rng, 12, 2 * block + 1, 4))
+        _assert_blocked_js_matches(tensor, block)
 
 
 # ---------------------------------------------------------------------------
 # The tensor-level measures map over stats.ensemble_blocks (stats.blockwise);
-# each must give every byte that the same measure gives on one whole-tensor view.
+# each must give every byte that the same measure gives on one whole-tensor view,
+# and the CLI's report columns and ood scores every byte of their one-block run.
 
 
 @st.composite
 def _blockwise_cases(draw):
-    block = draw(st.integers(2, 5))
     # From 8 members numpy sums a lone sample's member terms pairwise.
-    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 3 * block + 2)), draw(st.integers(2, 5)))
+    members, classes = draw(st.integers(1, 9)), draw(st.integers(2, 5))
+    # A small value budget: blocks of 2 to 5 samples, 2 when it holds fewer.
+    budget = draw(st.integers(1, 6 * members * classes - 1))
+    block = max(2, budget // (members * classes))
+    samples = draw(st.one_of(  # N up to past three blocks, or one off a block boundary
+        st.integers(1, 3 * block + 2),
+        st.builds(lambda n, off: max(1, n * block + off), st.integers(1, 3), st.integers(-1, 1))))
+    shape = (members, samples, classes)
     if draw(st.booleans()):
         weights = draw(hnp.arrays(np.float64, shape, elements=_weights))
         weights[..., 0] += weights.sum(axis=-1) == 0
@@ -348,7 +356,7 @@ def _blockwise_cases(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         data, kind = rng.normal(size=shape) * draw(st.sampled_from([0.5, 4.0, 40.0])), "logits"
     precision = draw(st.sampled_from([np.float64, np.float32]))
-    return block, make_tensor(data.astype(precision), kind=kind)
+    return budget, block, make_tensor(data.astype(precision), kind=kind)
 
 
 def _whole_view_measures(tensor):
@@ -371,17 +379,35 @@ def _tensor_measures(tensor):
     return got
 
 
+def _cli_scores(tensor):
+    """Every report column joined over its blocks, every ood score, and the block count."""
+    configs = [GateConfig(k=k) for k in K_VALUES]
+    labels = np.arange(tensor.manifest.samples) % tensor.manifest.classes
+    blocks = list(cli._report_rows(tensor, labels, configs))
+    got = {name: np.concatenate([dict(columns)[name] for columns in blocks])
+           for name, _ in blocks[0]}
+    ood = cli._ood_scores(tensor, cli.OOD_MEASURES, GateConfig(k=1.0))
+    got.update(zip([f"ood {name}" for name in cli.OOD_MEASURES], ood, strict=True))
+    return got, len(blocks)
+
+
 class TestBlockwiseMatchesWholeView:
     @given(case=_blockwise_cases())
     @settings(max_examples=200, deadline=None)
     def test_bit_identical(self, case):
-        block, tensor = case
+        budget, block, tensor = case
         ref = _whole_view_measures(tensor)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(stats, "SAMPLE_BLOCK", block)
+            patch.setattr(stats, "BLOCK_VALUES", tensor.data.size)  # one block
+            ref_cli, one = _cli_scores(tensor)
+            patch.setattr(stats, "BLOCK_VALUES", budget)
             got = _tensor_measures(tensor)
+            got_cli, blocks = _cli_scores(tensor)
         for name, value in got.items():
             assert _bytes(value) == _bytes(ref[name]), name
+        assert {name: value.tobytes() for name, value in got_cli.items()} == {
+            name: value.tobytes() for name, value in ref_cli.items()}
+        assert (one, blocks) == (1, len(stats.sample_blocks(tensor.manifest.samples, block)))
 
 
 def _bytes(value):

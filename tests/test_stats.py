@@ -13,7 +13,8 @@ from uqgate.ept import EptValidationError
 from uqgate.stats import member_probs
 
 from helpers import (
-    class_sum, logits_tensor, old_softmax, old_softmax_tensor, probs_tensor, random_probs,
+    block_budget, class_sum, logits_tensor, old_softmax, old_softmax_tensor, probs_tensor,
+    random_probs,
 )
 
 
@@ -185,23 +186,23 @@ class TestMemberProbsCopy:
 class TestSampleBlocks:
     """member_probs and ClassStats.from_tensor one block at a time, at block size 4."""
 
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(stats, "SAMPLE_BLOCK", 4)
-
-    @staticmethod
-    def tensor(rng, kind, members, samples, precision):
-        data = random_probs(rng, members, samples, 5)
-        if kind == "logits":
-            data = 6.0 * rng.normal(size=data.shape)
-        return make_tensor(data.astype(precision), kind=kind)
+    @pytest.fixture
+    def tensor(self, rng, monkeypatch):
+        def build(kind, members, samples, precision):
+            data = random_probs(rng, members, samples, 5)
+            if kind == "logits":
+                data = 6.0 * rng.normal(size=data.shape)
+            tensor = make_tensor(data.astype(precision), kind=kind)
+            monkeypatch.setattr(stats, "BLOCK_VALUES", block_budget(tensor, 4))
+            return tensor
+        return build
 
     @pytest.mark.parametrize("precision", [np.float64, np.float32])
     @pytest.mark.parametrize("members", [1, 9])
     @pytest.mark.parametrize("samples", [1, 3, 4, 5, 8, 9, 13])
     @pytest.mark.parametrize("kind", ["probs", "logits"])
-    def test_blocked_moments_equal_whole_tensor(self, rng, kind, members, samples, precision):
-        tensor = self.tensor(rng, kind, members, samples, precision)
+    def test_blocked_moments_equal_whole_tensor(self, tensor, kind, members, samples, precision):
+        tensor = tensor(kind, members, samples, precision)
         whole = Ensemble(member_probs(tensor)).stats
         blocked = ClassStats.from_tensor(tensor)
         assert np.array_equal(blocked.mu, whole.mu)
@@ -209,12 +210,12 @@ class TestSampleBlocks:
 
     @pytest.mark.parametrize("precision", [np.float64, np.float32])
     @pytest.mark.parametrize("samples", [1, 5, 13])
-    def test_logits_probs_equal_old_softmax_tensor(self, rng, samples, precision):
-        tensor = self.tensor(rng, "logits", 9, samples, precision)
+    def test_logits_probs_equal_old_softmax_tensor(self, tensor, samples, precision):
+        tensor = tensor("logits", 9, samples, precision)
         ref = old_softmax_tensor(tensor)
         assert member_probs(tensor).tobytes() == member_probs(ref).tobytes()
         assert softmax_tensor(tensor).data.tobytes() == ref.data.tobytes()
-        for start, stop in stats.sample_blocks(samples):
+        for start, stop in stats.sample_blocks(samples, 4):
             block = slice(start, stop)
             assert member_probs(tensor, block).tobytes() == member_probs(ref, block).tobytes()
 
