@@ -29,9 +29,10 @@ import gc
 import itertools
 import json
 import os
+import stat
 import sys
 from collections.abc import Iterable
-from contextlib import closing
+from contextlib import closing, suppress
 
 # uqgate calls no BLAS routine, and OpenBLAS's worker threads cost start-up time.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -47,7 +48,7 @@ from .ept import (
     write_ept_file,
     write_labels,
 )
-from .stats import ClassStats, blockwise, ensemble_blocks
+from .stats import blockwise, ensemble_blocks
 
 DEFAULT_K = 1.0
 
@@ -227,6 +228,12 @@ def cmd_diversity(args) -> Iterable[str]:
 # coverage
 
 
+def _rule_columns(ens):
+    """A block's margin-rule columns, with i and j copied: views would keep its argsort alive."""
+    i, j, *columns = ens.stats.top2
+    return i.copy(), j.copy(), *columns
+
+
 def cmd_coverage(args) -> Iterable[str]:
     k_grid = _parse_k_grid(args.k_grid)
     for k in k_grid:
@@ -235,8 +242,7 @@ def cmd_coverage(args) -> Iterable[str]:
     tensor = _read_input(args.input)
     _require_multiclass(tensor, "coverage")
     labels = read_labels_file(args.labels, tensor.manifest)
-    stats = ClassStats.from_tensor(tensor)
-    curve = diagnostics.coverage_risk(stats, labels, k_grid, eps=args.epsilon)
+    curve = diagnostics._coverage_curve(blockwise(tensor, _rule_columns), labels, k_grid)
     lines = ["k,coverage,risk\n"]
     for k, cov, risk in zip(curve.k, curve.coverage, curve.risk):
         risk_cell = "NA" if np.isnan(risk) else _fmt(float(risk))
@@ -342,7 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--labels", required=True)
     cov.add_argument("--k-grid", dest="k_grid", default="0.5,1,2,4",
                      help="comma list or lo:hi:count")
-    cov.add_argument("--epsilon", type=float, default=gating.DEFAULT_EPS)
+    cov.add_argument("--epsilon", type=float, default=gating.DEFAULT_EPS,
+                     help="checked, but has no effect: it enters only the SNR, "
+                     "which the rule does not read")
     cov.add_argument("--output")
     cov.set_defaults(func=cmd_coverage)
 
@@ -401,16 +409,39 @@ def _tune_allocator() -> None:
 def main(argv=None) -> int:
     _tune_allocator()
     args = _build_parser().parse_args(argv)
+    temp = None
     try:
         text = args.func(args)  # None from synth, which writes its own files
         if text is not None and args.output is not None:
-            with open(args.output, "w", encoding="utf-8", newline="") as out:
-                out.writelines(text)
+            try:
+                mode = os.stat(args.output).st_mode  # a symlink's target's
+            except FileNotFoundError:
+                mode = None
+            out = args.output  # not a regular file (/dev/stdout, a FIFO): written directly
+            if mode is None or stat.S_ISREG(mode):
+                # A lazy report can fail part way, so it goes to a new file beside the
+                # target, which takes the target's place once the whole report is written.
+                target = os.path.realpath(args.output)  # a symlink keeps its link
+                name = os.path.join(os.path.dirname(target), f".uqgate-{os.urandom(6).hex()}.tmp")
+                # Mode 0o666 less the umask, as open(path, "w") creates a file.
+                out = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                temp = name  # ours to remove from here on
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(text)
+            if temp is not None:
+                if mode is not None:
+                    os.chmod(temp, stat.S_IMODE(mode))  # an existing file keeps its mode
+                os.replace(temp, target)
+                temp = None
         elif text is not None:
             sys.stdout.writelines(text)
     except (EptError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    finally:
+        if temp is not None:  # the report failed: the target is left as it was
+            with suppress(FileNotFoundError):
+                os.unlink(temp)
     return 0
 
 

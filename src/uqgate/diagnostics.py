@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .ept import EptValidationError, PredictionTensor
-from .margin import DEFAULT_EPS, UNCERTAIN, decide_multiclass
-from .stats import ClassStats
+from .margin import DEFAULT_EPS, _fires, check_k
+from .stats import ClassStats, blockwise
 
 
 class DiversitySeries(NamedTuple):
@@ -41,7 +41,7 @@ class CoverageRiskCurve(NamedTuple):
 
 def diversity(tensor: PredictionTensor) -> float:
     """Mean ensemble standard deviation over all samples and classes."""
-    return float(ClassStats.from_tensor(tensor).sigma.mean())
+    return float(blockwise(tensor, lambda ens: ens.stats.sigma).mean())
 
 
 def check_tau(tau: float) -> None:
@@ -96,23 +96,31 @@ def coverage_risk(
     k_grid: Sequence[float],
     eps: float = DEFAULT_EPS,
 ) -> CoverageRiskCurve:
-    """Coverage (fraction decided) and risk (error rate among decided) per k."""
+    """Coverage (fraction decided) and risk (error rate among decided) per k.
+
+    eps does not affect the curve: it enters only the SNR, and the rule
+    does not read the SNR.
+    """
     labels = np.asarray(labels)
     if labels.shape != (stats.samples,):
         raise ValueError(
             f"labels shape {labels.shape} does not match {stats.samples} samples"
         )
+    return _coverage_curve(stats.top2, labels, k_grid)
+
+
+def _coverage_curve(top2, labels: np.ndarray, k_grid: Sequence[float]) -> CoverageRiskCurve:
+    """:func:`coverage_risk` on the rule's columns, ``ClassStats.top2``, and matching labels."""
+    i, _, mu_i, mu_j, sigma_i, sigma_j = top2
+    wrong = i != labels
     ks = np.asarray(k_grid, dtype=np.float64)
     coverage = np.empty(ks.shape)
     risk = np.empty(ks.shape)
     for idx, k in enumerate(ks):
-        decisions = decide_multiclass(stats, k=float(k), eps=eps)
-        decided = decisions.decision != UNCERTAIN
+        check_k(float(k))
+        decided = _fires(float(k), mu_i, mu_j, sigma_i, sigma_j)
         coverage[idx] = decided.mean()
-        if decided.any():
-            risk[idx] = (decisions.decision[decided] != labels[decided]).mean()
-        else:
-            risk[idx] = np.nan
+        risk[idx] = wrong[decided].mean() if decided.any() else np.nan
     return CoverageRiskCurve(k=ks, coverage=coverage, risk=risk)
 
 

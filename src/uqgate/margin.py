@@ -66,12 +66,9 @@ def _snr(margin: np.ndarray, spread: np.ndarray, eps: float) -> np.ndarray:
     return np.where(np.isnan(snr), 0.0, snr)
 
 
-def _top2_snr(stats: ClassStats, eps: float):
-    """Row indices, top-2 class indices and the top-2 margin SNR per sample."""
-    rows = np.arange(stats.samples)
-    i, j = stats.top2
-    margin = stats.mu[rows, i] - stats.mu[rows, j]
-    return rows, i, j, _snr(margin, stats.sigma[rows, i] + stats.sigma[rows, j], eps)
+def _fires(k: float, mu_i, mu_j, sigma_i, sigma_j) -> np.ndarray:
+    """The margin rule, per sample: mu(i) - k sigma(i) > mu(j) + k sigma(j)."""
+    return (mu_i - k * sigma_i) > (mu_j + k * sigma_j)
 
 
 def decide_multiclass(
@@ -79,10 +76,9 @@ def decide_multiclass(
 ) -> MulticlassDecisions:
     """Apply the margin rule: predict top-1 iff mu(i) - k sigma(i) > mu(j) + k sigma(j)."""
     check_k(k)
-    rows, i, j, snr = _top2_snr(stats, eps)
-    mu, sigma = stats.mu, stats.sigma
-    fires = (mu[rows, i] - k * sigma[rows, i]) > (mu[rows, j] + k * sigma[rows, j])
-    decision = np.where(fires, i, UNCERTAIN)
+    i, j, mu_i, mu_j, sigma_i, sigma_j = stats.top2
+    snr = _snr(mu_i - mu_j, sigma_i + sigma_j, eps)
+    decision = np.where(_fires(k, mu_i, mu_j, sigma_i, sigma_j), i, UNCERTAIN)
     return MulticlassDecisions(top1=i, top2=j, snr=snr, decision=decision)
 
 
@@ -95,9 +91,15 @@ def gmu_multiclass(
     gate and gmu = 1 - mu(i) * gamma, in [1 - mu(i), 1]. A tie with zero
     spread at eps = 0 has SNR 0, a closed gate and GMU = 1.
     """
-    rows, i, _, snr = _top2_snr(stats, eps)
-    gamma = 1.0 - np.exp(-snr)
-    return 1.0 - stats.mu[rows, i] * gamma, gamma
+    _, _, mu_i, mu_j, sigma_i, sigma_j = stats.top2
+    gamma = 1.0 - np.exp(-_snr(mu_i - mu_j, sigma_i + sigma_j, eps))
+    return 1.0 - mu_i * gamma, gamma
+
+
+def _fold(mu_label, sigma_label):
+    """Raw means u, their folded top means max(u, 1 - u) and the spreads, as float64."""
+    u = np.asarray(mu_label, dtype=np.float64)
+    return u, np.maximum(u, 1.0 - u), np.asarray(sigma_label, dtype=np.float64)
 
 
 def decide_multilabel(
@@ -113,11 +115,9 @@ def decide_multilabel(
     u < 0.5, UNCERTAIN otherwise.
     """
     check_k(k)
-    u = np.asarray(mu_label, dtype=np.float64)
-    sigma = np.asarray(sigma_label, dtype=np.float64)
-    mu_i = np.maximum(u, 1.0 - u)
+    u, mu_i, sigma = _fold(mu_label, sigma_label)
     snr = _snr(2.0 * mu_i - 1.0, 2.0 * sigma, eps)
-    fires = (mu_i - k * sigma) > (1.0 - mu_i) + k * sigma
+    fires = _fires(k, mu_i, 1.0 - mu_i, sigma, sigma)  # the complement: 1 - mu(i), same sigma
     decision = np.where(fires, np.where(u > 0.5, PRESENT, ABSENT), UNCERTAIN)
     return snr, decision
 
@@ -133,8 +133,6 @@ def gmu_multilabel(
     a perfectly ambiguous label (u = 0.5) has a closed gate and GMU = 1,
     matching both one-sided limits.
     """
-    u = np.asarray(mu_label, dtype=np.float64)
-    sigma = np.asarray(sigma_label, dtype=np.float64)
-    mu_i = np.maximum(u, 1.0 - u)
+    _, mu_i, sigma = _fold(mu_label, sigma_label)
     gamma = 1.0 - np.exp(-_snr(2.0 * mu_i - 1.0, 2.0 * sigma, eps))
     return 1.0 - mu_i * gamma

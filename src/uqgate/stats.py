@@ -187,11 +187,13 @@ class ClassStats:
         return self.mu.shape[1]
 
     @cached_property
-    def top2(self) -> tuple[np.ndarray, np.ndarray]:
-        """Top-1 and top-2 class indices per sample, as :func:`uqgate.margin.top2`."""
+    def top2(self) -> tuple[np.ndarray, ...]:
+        """Per sample: i, j (as :func:`uqgate.margin.top2`), mu(i), mu(j), sigma(i), sigma(j)."""
         from .margin import top2  # margin imports this module; top2 stays there
 
-        return top2(self.mu)
+        i, j = top2(self.mu)
+        rows = np.arange(self.samples)
+        return i, j, self.mu[rows, i], self.mu[rows, j], self.sigma[rows, i], self.sigma[rows, j]
 
 
 @dataclass(frozen=True)

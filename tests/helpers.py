@@ -5,8 +5,12 @@ its own, and both test trees are collected in one run.
 """
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from uqgate import make_tensor
+from uqgate import (
+    ABSENT, PRESENT, UNCERTAIN, ClassStats, CoverageRiskCurve, MulticlassDecisions, make_tensor,
+)
 from uqgate.stats import class_sum_into
 
 
@@ -93,3 +97,71 @@ def block_budget(tensor, samples):
     """The stats.BLOCK_VALUES that splits ``tensor`` into blocks of ``samples`` >= 2 samples."""
     members, _, classes = tensor.data.shape
     return samples * members * classes
+
+
+@st.composite
+def class_stats(draw, max_samples=6, max_classes=5):
+    """ClassStats whose means and spreads come often from a few values: ties, zero spreads
+    and signed zeros are common, and N = 1 and C = 2 are drawn too."""
+    n = draw(st.integers(1, max_samples))
+    c = draw(st.integers(2, max_classes))
+    means = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    spreads = st.one_of(st.sampled_from([0.0, 0.1, 0.5]), st.floats(0.0, 0.5))
+    return ClassStats(mu=draw(hnp.arrays(np.float64, (n, c), elements=means)),
+                      sigma=draw(hnp.arrays(np.float64, (n, c), elements=spreads)))
+
+
+# The margin rule as it was before ClassStats.top2 gathered its six columns: an argsort
+# of the class means, and gathers from the (N, C) moments at every use. Every bit of
+# the rule's results must match these.
+
+
+def _old_snr(margin, spread, eps):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        snr = margin / (spread + eps)
+    return np.where(np.isnan(snr), 0.0, snr)
+
+
+def old_decide_multiclass(stats, k, eps=1e-8):
+    rows = np.arange(stats.samples)
+    order = np.argsort(-stats.mu, axis=1, kind="stable")
+    i, j = order[:, 0], order[:, 1]
+    mu, sigma = stats.mu, stats.sigma
+    snr = _old_snr(mu[rows, i] - mu[rows, j], sigma[rows, i] + sigma[rows, j], eps)
+    fires = (mu[rows, i] - k * sigma[rows, i]) > (mu[rows, j] + k * sigma[rows, j])
+    return MulticlassDecisions(top1=i, top2=j, snr=snr, decision=np.where(fires, i, UNCERTAIN))
+
+
+def old_gmu_multiclass(stats, eps=1e-8):
+    decisions = old_decide_multiclass(stats, 1.0, eps)
+    gamma = 1.0 - np.exp(-decisions.snr)
+    return 1.0 - stats.mu[np.arange(stats.samples), decisions.top1] * gamma, gamma
+
+
+def old_coverage_risk(stats, labels, k_grid, eps=1e-8):
+    """The whole decision rule at every k, as coverage_risk ran it."""
+    ks = np.asarray(k_grid, dtype=np.float64)
+    coverage = np.empty(ks.shape)
+    risk = np.empty(ks.shape)
+    for idx, k in enumerate(ks):
+        decision = old_decide_multiclass(stats, float(k), eps).decision
+        decided = decision != UNCERTAIN
+        coverage[idx] = decided.mean()
+        risk[idx] = (decision[decided] != labels[decided]).mean() if decided.any() else np.nan
+    return CoverageRiskCurve(k=ks, coverage=coverage, risk=risk)
+
+
+def old_decide_multilabel(mu_label, sigma_label, k, eps=1e-8):
+    u = np.asarray(mu_label, dtype=np.float64)
+    sigma = np.asarray(sigma_label, dtype=np.float64)
+    mu_i = np.maximum(u, 1.0 - u)
+    snr = _old_snr(2.0 * mu_i - 1.0, 2.0 * sigma, eps)
+    fires = (mu_i - k * sigma) > (1.0 - mu_i) + k * sigma
+    return snr, np.where(fires, np.where(u > 0.5, PRESENT, ABSENT), UNCERTAIN)
+
+
+def old_gmu_multilabel(mu_label, sigma_label, eps=1e-8):
+    u = np.asarray(mu_label, dtype=np.float64)
+    sigma = np.asarray(sigma_label, dtype=np.float64)
+    mu_i = np.maximum(u, 1.0 - u)
+    return 1.0 - mu_i * (1.0 - np.exp(-_old_snr(2.0 * mu_i - 1.0, 2.0 * sigma, eps)))

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -205,6 +206,32 @@ class TestCoverage:
         assert code == 0
         line = out.strip().split("\n")[1]
         assert line.endswith(",0,NA")
+
+    @pytest.mark.parametrize("grid", ["0.25:4:16", "3,0.5,1e6,0.5,2,0.01", "0.01:10:200",
+                                      "1e6,1e9"])
+    @pytest.mark.parametrize("name", ["probs.ept", "logits.ept"])
+    def test_blocks_match_one_block(self, workdir, capsys, monkeypatch, name, grid):
+        # Only the rule's per-sample columns are joined across blocks.
+        argv = ("coverage", "--input", workdir / name, "--labels", workdir / "labels.csv",
+                "--k-grid", grid)
+        whole = run(capsys, *argv)  # 20 samples: one block at the default budget
+        assert whole[0] == 0
+        tensor = read_ept_file(workdir / name)
+        for samples in (2, 3, 4):
+            monkeypatch.setattr(stats, "BLOCK_VALUES", block_budget(tensor, samples))
+            assert run(capsys, *argv) == whole
+
+    def test_joined_columns_hold_no_block_argsort(self, rng):
+        # coverage keeps every block's columns until they are joined; a view of i or j
+        # would keep that block's (B, C) argsort alive as long.
+        columns = cli._rule_columns(Ensemble(random_probs(rng, 3, 5, 4)))
+        assert len(columns) == 6 and all(column.base is None for column in columns)
+
+    def test_epsilon_has_no_effect(self, workdir, capsys):
+        argv = ("coverage", "--input", workdir / "probs.ept", "--labels", workdir / "labels.csv",
+                "--k-grid", "0.01:10:50")
+        outputs = {run(capsys, *argv, "--epsilon", eps) for eps in ("1e-8", "0.5", "1e300")}
+        assert len(outputs) == 1 and next(iter(outputs))[0] == 0
 
     def test_coverage_nonincreasing(self, workdir, capsys):
         code, out, _ = run(
@@ -780,7 +807,7 @@ def test_infinite_k_is_rejected(one_member, argv):
 # ---------------------------------------------------------------------------
 # Every analysing command on logits, one sample block at a time, against the
 # route it replaced: the whole file softmaxed into a binary64 probs tensor
-# (_old_read_input) and whole-tensor moments for coverage and diversity.
+# (_old_read_input), whose moments are one block.
 
 
 def _old_read_input(path):
@@ -818,9 +845,7 @@ def test_logits_identical_to_whole_tensor_softmax(logits_files, capsys, monkeypa
     argv = [part.format(a=a, b=b, dir=a.parent) for part in command]
     with monkeypatch.context() as old:
         old.setattr(cli, "_read_input", _old_read_input)
-        old.setattr(stats.ClassStats, "from_tensor",
-                    classmethod(lambda cls, tensor: Ensemble(member_probs(tensor)).stats))
-        ref = run(capsys, *argv)
+        ref = run(capsys, *argv)  # each file is one block at the default budget
     monkeypatch.setattr(stats, "BLOCK_VALUES", 4 * 9 * 4)  # 4-sample blocks of both 9x.x4 files
     assert run(capsys, *argv) == ref
     assert ref[0] == 0 and "applying softmax" in ref[2]
@@ -975,6 +1000,135 @@ def test_failing_command_leaves_no_output_file(workdir, capsys, argv, message):
     assert code == 1
     assert out == "" and not target.exists()
     assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+# ---------------------------------------------------------------------------
+# --output is written whole or not at all: a report goes to a new file beside the
+# target, which takes the target's place only once the whole report is written.
+
+
+def _fail_in_block(monkeypatch, block, error):
+    """Make measures.pairwise_js raise ``error`` in the ``block``-th sample block (from 1)."""
+    calls = []
+    pairwise_js = measures.pairwise_js
+
+    def failing(ens):
+        calls.append(ens)
+        if len(calls) == block:
+            raise error
+        return pairwise_js(ens)
+
+    monkeypatch.setattr(measures, "pairwise_js", failing)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("block", [1, 3])
+def test_a_fault_in_a_report_block_leaves_the_output_as_it_was(workdir, capsys, monkeypatch,
+                                                                block, existing):
+    monkeypatch.setattr(stats, "BLOCK_VALUES", 4 * 5 * 4)  # 4-sample blocks: 5 of them
+    target = workdir / "reports" / "report.csv"
+    target.parent.mkdir()
+    if existing:
+        target.write_bytes(b"sample,tu\n0,0.5\n")
+    _fail_in_block(monkeypatch, block, MemoryError)
+    code, out, err = run(capsys, "report", "--input", workdir / "probs.ept", "--output", target)
+    assert (code, out, err) == (1, "", "error: MemoryError\n")
+    assert os.listdir(target.parent) == (["report.csv"] if existing else [])
+    if existing:
+        assert target.read_bytes() == b"sample,tu\n0,0.5\n"
+
+
+def test_an_interrupted_report_leaves_no_file(workdir, monkeypatch):
+    # Any exception, not only the ones main reports, removes the new file.
+    monkeypatch.setattr(stats, "BLOCK_VALUES", 4 * 5 * 4)
+    _fail_in_block(monkeypatch, 2, KeyboardInterrupt)
+    (workdir / "reports").mkdir()
+    with pytest.raises(KeyboardInterrupt):
+        main(["report", "--input", str(workdir / "probs.ept"),
+              "--output", str(workdir / "reports" / "report.csv")])
+    assert os.listdir(workdir / "reports") == []
+
+
+def _coverage_argv(workdir):
+    return ["coverage", "--input", workdir / "probs.ept", "--labels", workdir / "labels.csv"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["dangling", "existing"])
+def test_a_symlinked_output_updates_the_link_target(workdir, capsys, existing):
+    real = workdir / "reports" / "coverage.csv"
+    real.parent.mkdir()
+    if existing:
+        real.write_text("old\n")
+    link = workdir / "latest.csv"
+    link.symlink_to(real)
+    code, out, _ = run(capsys, *_coverage_argv(workdir), "--output", link)
+    assert (code, out) == (0, "")
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == run(capsys, *_coverage_argv(workdir))[1]
+    assert os.listdir(real.parent) == ["coverage.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o000], ids=["022", "077", "000"])
+def test_a_new_output_gets_the_mode_open_gives(workdir, capsys, umask):
+    previous = os.umask(umask)
+    try:
+        with open(workdir / "by_open.csv", "w"):
+            pass
+        code, _, _ = run(capsys, *_coverage_argv(workdir), "--output", workdir / "new.csv")
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert (workdir / "new.csv").stat().st_mode == (workdir / "by_open.csv").stat().st_mode
+
+
+def test_an_existing_output_keeps_its_mode(workdir, capsys):
+    target = workdir / "kept.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    code, _, _ = run(capsys, *_coverage_argv(workdir), "--output", target)
+    assert code == 0 and target.read_text().startswith("k,coverage,risk\n")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_a_fifo_output_is_written_directly(workdir, capsys):
+    # A target that is not a regular file is opened and written as it is, not replaced.
+    fifo = workdir / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the report fits the pipe's buffer
+    try:
+        code, out, _ = run(capsys, *_coverage_argv(workdir), "--output", fifo)
+        text = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert (code, out) == (0, "")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert text == run(capsys, *_coverage_argv(workdir))[1]
+
+
+@pytest.fixture
+def long_report(tmp_path):
+    """A report of four sample blocks, about 280 KB: more than a pipe's buffer holds."""
+    probs, _, _ = generate(SynthConfig(samples=2000, classes=10, members=20, seed=1))
+    write_ept_file(probs, tmp_path / "long.ept")
+    return [sys.executable, "-m", "uqgate.cli", "report", "--input", str(tmp_path / "long.ept")]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_is_one_error_line(long_report):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(long_report, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (result.returncode, result.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+
+def test_a_closed_pipe_is_one_error_line(long_report):
+    # As written: exit 1 and one error line, not the quiet exit of a Unix filter.
+    child = subprocess.Popen(long_report, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = child.stdout.read(100)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(), err) == (1, b"error: [Errno 32] Broken pipe\n")
+    assert head.startswith(b"sample,tu,au,eu,")
 
 
 def test_duplicate_manifest_keys_fail_cleanly(tmp_path, capsys):

@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqgate import (
     ClassStats,
@@ -23,7 +25,8 @@ from uqgate import (
 from uqgate.diagnostics import _midranks
 from uqgate.ept import EptValidationError
 
-from helpers import probs_tensor, random_probs
+from uqgate import stats as stats_module
+from helpers import block_budget, class_stats, old_coverage_risk, probs_tensor, random_probs
 
 
 def pairwise_auroc(neg, pos):
@@ -39,6 +42,13 @@ def pairwise_auroc(neg, pos):
 
 
 class TestDiversity:
+    @pytest.mark.parametrize("samples", [2, 3, 5])
+    def test_blocks_match_the_joined_moments(self, rng, monkeypatch, samples):
+        tensor = probs_tensor(random_probs(rng, 4, 13, 3))
+        whole = float(ClassStats.from_tensor(tensor).sigma.mean())  # one block by default
+        monkeypatch.setattr(stats_module, "BLOCK_VALUES", block_budget(tensor, samples))
+        assert diversity(tensor) == whole
+
     def test_identical_members_zero(self, rng):
         row = random_probs(rng, 1, 5, 3)[0]
         # Two members: the mean is exact, so the spread is exactly zero.
@@ -192,6 +202,52 @@ class TestCoverageRisk:
         stats = ClassStats(np.array([[0.6, 0.4]]), np.zeros((1, 2)))
         with pytest.raises(ValueError, match="labels"):
             coverage_risk(stats, np.array([0, 1]), [1.0])
+
+    @pytest.mark.parametrize("k_grid", [[0.5, 0.0], [1.0, float("nan")], [float("inf")]])
+    def test_every_k_is_checked(self, k_grid):
+        stats = ClassStats(np.array([[0.6, 0.4]]), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="k must be positive"):
+            coverage_risk(stats, np.array([0]), k_grid)
+
+    # The rule's columns, gathered once, against the whole decision rule at every k:
+    # every bit of the curve must match.
+
+    @given(data=st.data(), stats=class_stats(),
+           k_grid=st.lists(st.one_of(st.sampled_from([0.5, 1.0, 2.0, 1e6]), st.floats(0.01, 10.0)),
+                           min_size=1, max_size=8),
+           eps=st.sampled_from([1e-8, 0.0, 0.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_k_reference(self, data, stats, k_grid, eps):
+        labels = np.array(data.draw(st.lists(st.integers(0, stats.classes - 1),
+                                             min_size=stats.samples, max_size=stats.samples)))
+        self._assert_matches(stats, labels, k_grid, eps)
+
+    @pytest.mark.parametrize("k_grid", [
+        [3.0, 0.5, 1e6, 0.5, 2.0, 0.01],  # unsorted, with a duplicate
+        [1.0],  # a single point
+        [1e6, 1e9],  # huge k: nothing with a spread is decided, so risk can be NaN
+    ])
+    @pytest.mark.parametrize("case", ["ties", "one-sample", "random"])
+    def test_matches_the_per_k_reference_on_fixed_cases(self, rng, case, k_grid):
+        if case == "ties":  # zero spreads, tied top-2 means, signed zeros
+            mu = np.array([[0.5, 0.5, 0.0], [0.0, -0.0, 0.0], [0.7, 0.2, 0.1], [0.4, 0.4, 0.2]])
+            stats, labels = ClassStats(mu, np.zeros_like(mu)), np.array([0, 1, 0, 2])
+        elif case == "one-sample":  # N = 1, C = 2
+            stats, labels = ClassStats(np.array([[0.6, 0.4]]), np.array([[0.05, 0.05]])), [1]
+        else:
+            stats = ClassStats.from_tensor(probs_tensor(random_probs(rng, 6, 50, 3)))
+            labels = rng.integers(0, 3, size=50)
+        for eps in (1e-8, 0.0):
+            self._assert_matches(stats, np.asarray(labels), k_grid, eps)
+        if case == "random" and k_grid[0] == 1e6:
+            assert np.isnan(coverage_risk(stats, labels, k_grid).risk).all()
+
+    @staticmethod
+    def _assert_matches(stats, labels, k_grid, eps):
+        got = coverage_risk(stats, labels, k_grid, eps=eps)
+        ref = old_coverage_risk(ClassStats(stats.mu, stats.sigma), labels, k_grid, eps=eps)
+        for column, expected in zip(got, ref, strict=True):
+            assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes()
 
 
 class TestAuroc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uqgate import (
     ABSENT,
@@ -15,6 +16,14 @@ from uqgate import (
     gmu_multiclass,
     gmu_multilabel,
     top2,
+)
+
+from helpers import (
+    class_stats,
+    old_decide_multiclass,
+    old_decide_multilabel,
+    old_gmu_multiclass,
+    old_gmu_multilabel,
 )
 
 
@@ -90,6 +99,33 @@ class TestDecideMulticlass:
     def test_k_validation(self):
         with pytest.raises(ValueError, match="positive"):
             decide_multiclass(stats_from([0.7, 0.3], [0.1, 0.1]), k=0.0)
+
+
+class TestGatheredColumns:
+    # decide_multiclass and gmu_multiclass read ClassStats.top2's six columns, gathered
+    # once; the argsort-and-gather reference gathers at every use. Every bit must match.
+
+    @given(stats=class_stats(), k=st.floats(0.01, 10.0),
+           eps=st.sampled_from([1e-8, 0.0, 5e-324, 0.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_rule_snr_and_gmu_match_the_reference(self, stats, k, eps):
+        for got, ref in zip(decide_multiclass(stats, k, eps), old_decide_multiclass(stats, k, eps),
+                            strict=True):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        for got, ref in zip(gmu_multiclass(stats, eps), old_gmu_multiclass(stats, eps),
+                            strict=True):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_columns_are_gathered_once(self, rng):
+        stats = ClassStats(rng.dirichlet(np.ones(5), size=7), rng.uniform(0, 0.5, (7, 5)))
+        columns = stats.top2
+        assert len(columns) == 6
+        decide_multiclass(stats, k=1.0)
+        gmu_multiclass(stats)
+        assert stats.top2 is columns
+        i, j, mu_i, mu_j, sigma_i, sigma_j = columns
+        rows = np.arange(7)
+        assert (mu_i == stats.mu[rows, i]).all() and (sigma_j == stats.sigma[rows, j]).all()
 
 
 class TestGmuMulticlass:
@@ -212,3 +248,25 @@ class TestMultilabel:
         np.testing.assert_allclose(mc.snr, ml_snr, atol=1e-9)
         mc_gmu, _ = gmu_multiclass(ClassStats(mu, sig))
         np.testing.assert_allclose(mc_gmu, gmu_multilabel(u, sigma), atol=1e-9)
+
+
+@st.composite
+def _labels(draw):
+    """Raw label means over [0, 1], with the edges 0, 0.5 and 1 drawn often, and spreads."""
+    means = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    spreads = st.one_of(st.sampled_from([0.0, 0.1, 0.5]), st.floats(0.0, 0.5))
+    u = draw(hnp.arrays(np.float64, st.integers(1, 8), elements=means))
+    return u, draw(hnp.arrays(np.float64, u.shape, elements=spreads))
+
+
+@given(labels=_labels(), k=st.floats(0.01, 10.0), eps=st.sampled_from([1e-8, 0.0, 5e-324, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_multilabel_matches_the_reference(labels, k, eps):
+    # The shared rule reads the complement as mean 1 - mu(i) with the same spread.
+    u, sigma = labels
+    for args in ((u, sigma), (u[0], sigma[0])):  # arrays, and one label as scalars
+        for got, ref in zip(decide_multilabel(*args, k, eps), old_decide_multilabel(*args, k, eps),
+                            strict=True):
+            assert type(got) is type(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        got, ref = gmu_multilabel(*args, eps), old_gmu_multilabel(*args, eps)
+        assert type(got) is type(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
