@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ept import EptValidationError, PredictionTensor
+from .ept import PredictionTensor, check_labels
+from .gating import check_positive
 from .stats import LOG_CLAMP, class_sum_into, softmax
 
 T_MIN = 0.01
@@ -49,19 +50,14 @@ class TemperatureFit(NamedTuple):
 
 def apply_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
     """softmax(logits / T); T = 1 is the identity with plain softmax."""
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    check_positive("temperature", temperature)
     return softmax(np.asarray(logits, dtype=np.float64) / temperature, axis=-1)
 
 
 def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log likelihood in nats per sample."""
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.shape != (probs.shape[0],):
-        raise ValueError(
-            f"labels shape {labels.shape} does not match {probs.shape[0]} samples"
-        )
+    labels = check_labels(labels, probs.shape[0], probs.shape[1])
     picked = probs[np.arange(probs.shape[0]), labels]
     return float(-np.log(np.clip(picked, LOG_CLAMP, None)).mean())
 
@@ -95,9 +91,7 @@ class _Nll:
             extremes = np.array([logits.min(), self.rowmax.max()]) / T_MIN
         if not np.isfinite(extremes).all():
             raise ValueError("softmax requires finite inputs")
-        labels = np.asarray(labels)
-        if labels.shape != (samples,):
-            raise ValueError(f"labels shape {labels.shape} does not match {samples} samples")
+        labels = check_labels(labels, samples, logits.shape[2])
         # Row-major, so each block's mean sums its samples in the order the
         # scalar path does; fancy indexing may lay (B, N) out transposed.
         self.label = np.ascontiguousarray(logits[:, np.arange(samples), labels])
@@ -210,8 +204,7 @@ def objective(tensor: PredictionTensor, labels: np.ndarray, pooled: bool = False
     It keeps its own copy of the logits, so a caller can free the tensor
     before :func:`fit_objective` runs the search.
     """
-    if tensor.manifest.kind != "logits":
-        raise EptValidationError("temperature fitting requires kind=logits")
+    tensor.manifest.require("calibration", kind="logits")
     return _Nll(tensor.data.astype(np.float64, copy=False), labels, pooled)
 
 
@@ -232,12 +225,3 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> TemperatureFit:
 def fit_per_member(tensor: PredictionTensor, labels: np.ndarray) -> TemperatureFit:
     """Independent temperature fit for every member slice of a logits tensor."""
     return fit_objective(objective(tensor, labels))
-
-
-def fit_global(tensor: PredictionTensor, labels: np.ndarray) -> TemperatureFit:
-    """One temperature shared by every member of a logits tensor.
-
-    Members count as extra samples, so with M = 1 this is ``fit_temperature``
-    on the one member.
-    """
-    return fit_objective(objective(tensor, labels, pooled=True))

@@ -105,11 +105,6 @@ def _read_input(path: str) -> PredictionTensor:
     return tensor
 
 
-def _require_multiclass(tensor: PredictionTensor, command: str) -> None:
-    if tensor.manifest.task != "multiclass":
-        raise ValueError(f"{command} requires a multiclass tensor")
-
-
 # ---------------------------------------------------------------------------
 # report
 
@@ -188,7 +183,7 @@ def _json_text(value) -> list[str]:
 
 
 def cmd_report(args) -> Iterable[str]:
-    # GateConfig applies gating.check_k and gating.check_epsilon before any input is read.
+    # GateConfig checks k and epsilon before any input is read.
     k_values = list(dict.fromkeys(_parse_float_list(args.k)))
     configs = [gating.GateConfig(k=k, epsilon=args.epsilon) for k in k_values]
     named = {}
@@ -198,7 +193,7 @@ def cmd_report(args) -> Iterable[str]:
             raise ValueError(f"k values {named[suffix]!r} and {k!r} both name the columns "
                              f"tu_{suffix}, au_{suffix} and eu_{suffix}")
     tensor = _read_input(args.input)
-    _require_multiclass(tensor, "report")
+    tensor.manifest.require("report", task="multiclass")
     labels = None
     if args.labels:
         labels = read_labels_file(args.labels, tensor.manifest)
@@ -212,7 +207,7 @@ def cmd_report(args) -> Iterable[str]:
 
 
 def cmd_diversity(args) -> Iterable[str]:
-    diagnostics.check_tau(args.tau)
+    gating.check_positive("tau", args.tau)
     # A generator, so one snapshot is in memory at a time.
     series = diagnostics.collapse_epoch(map(_read_input, args.inputs), tau=args.tau)
     if args.format == "csv":
@@ -238,9 +233,9 @@ def cmd_coverage(args) -> Iterable[str]:
     k_grid = _parse_k_grid(args.k_grid)
     for k in k_grid:
         gating.check_k(k)
-    gating.check_epsilon(args.epsilon)
+    gating.check_positive("epsilon", args.epsilon)
     tensor = _read_input(args.input)
-    _require_multiclass(tensor, "coverage")
+    tensor.manifest.require("coverage", task="multiclass")
     labels = read_labels_file(args.labels, tensor.manifest)
     curve = diagnostics._coverage_curve(blockwise(tensor, _rule_columns), labels, k_grid)
     lines = ["k,coverage,risk\n"]
@@ -256,9 +251,8 @@ def cmd_coverage(args) -> Iterable[str]:
 
 def cmd_calibrate(args) -> Iterable[str]:
     tensor = read_ept_file(args.input)
-    if tensor.manifest.kind != "logits":
-        raise ValueError("calibration requires a logits tensor (kind=logits)")
-    _require_multiclass(tensor, "calibrate")
+    tensor.manifest.require("calibration", kind="logits")
+    tensor.manifest.require("calibrate", task="multiclass")
     labels = read_labels_file(args.labels, tensor.manifest)
     loss = calibration.objective(tensor, labels, pooled=not args.per_member)
     del tensor  # the search runs on the objective's copy of the logits
@@ -275,7 +269,7 @@ def cmd_calibrate(args) -> Iterable[str]:
 
 def _ood_scores(tensor: PredictionTensor, names, cfg) -> list[np.ndarray]:
     """The named scores of one file, computed one sample block at a time."""
-    _require_multiclass(tensor, "ood")
+    tensor.manifest.require("ood", task="multiclass")
     return blockwise(tensor, functools.partial(measures.block_scores, names=names, cfg=cfg))
 
 
@@ -433,7 +427,15 @@ def main(argv=None) -> int:
                     os.chmod(temp, stat.S_IMODE(mode))  # an existing file keeps its mode
                 os.replace(temp, target)
                 temp = None
-        elif text is not None:
+        elif text is not None and hasattr(sys.stdout, "buffer"):
+            # A pipe whose reader closes part way takes a short write without an error;
+            # writing the rest again raises it.
+            sys.stdout.flush()
+            for chunk in text:
+                data = memoryview(chunk.encode(sys.stdout.encoding, sys.stdout.errors))
+                while data:
+                    data = data[sys.stdout.buffer.write(data):]
+        elif text is not None:  # a text stream of an in-process caller, such as a StringIO
             sys.stdout.writelines(text)
     except (EptError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

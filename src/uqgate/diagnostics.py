@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ept import EptValidationError, PredictionTensor
+from .ept import EptValidationError, PredictionTensor, check_labels
+from .gating import check_positive
 from .margin import DEFAULT_EPS, _fires, check_k
 from .stats import ClassStats, blockwise
 
@@ -44,12 +45,6 @@ def diversity(tensor: PredictionTensor) -> float:
     return float(blockwise(tensor, lambda ens: ens.stats.sigma).mean())
 
 
-def check_tau(tau: float) -> None:
-    """The one collapse-threshold rule, shared by :func:`collapse_epoch` and the CLI: tau > 0."""
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-
-
 def _summary(tensor: PredictionTensor) -> tuple[tuple[int, int], int | None, float]:
     """What :func:`collapse_epoch` keeps of a snapshot: (N, C), epoch, diversity."""
     manifest = tensor.manifest
@@ -71,7 +66,8 @@ def collapse_epoch(
     values = []
     for position, (found, epoch, value) in enumerate(map(_summary, snapshots)):
         if shape is None:
-            check_tau(tau)  # here, not before the loop: no snapshot at all is the first error
+            # Here, not before the loop: no snapshot at all is the first error.
+            check_positive("tau", tau)
             shape = found
         elif found != shape:
             raise EptValidationError(
@@ -101,23 +97,20 @@ def coverage_risk(
     eps does not affect the curve: it enters only the SNR, and the rule
     does not read the SNR.
     """
-    labels = np.asarray(labels)
-    if labels.shape != (stats.samples,):
-        raise ValueError(
-            f"labels shape {labels.shape} does not match {stats.samples} samples"
-        )
-    return _coverage_curve(stats.top2, labels, k_grid)
+    labels = check_labels(labels, stats.samples, stats.classes)
+    ks = np.asarray(k_grid, dtype=np.float64)
+    for k in ks:
+        check_k(float(k))
+    return _coverage_curve(stats.top2, labels, ks)
 
 
-def _coverage_curve(top2, labels: np.ndarray, k_grid: Sequence[float]) -> CoverageRiskCurve:
-    """:func:`coverage_risk` on the rule's columns, ``ClassStats.top2``, and matching labels."""
+def _coverage_curve(top2, labels: np.ndarray, ks: np.ndarray) -> CoverageRiskCurve:
+    """:func:`coverage_risk` on the rule's columns, ``ClassStats.top2``, once both are checked."""
     i, _, mu_i, mu_j, sigma_i, sigma_j = top2
     wrong = i != labels
-    ks = np.asarray(k_grid, dtype=np.float64)
     coverage = np.empty(ks.shape)
     risk = np.empty(ks.shape)
     for idx, k in enumerate(ks):
-        check_k(float(k))
         decided = _fires(float(k), mu_i, mu_j, sigma_i, sigma_j)
         coverage[idx] = decided.mean()
         risk[idx] = wrong[decided].mean() if decided.any() else np.nan
@@ -156,11 +149,7 @@ def ece(mean_probs: np.ndarray, labels: np.ndarray, bins: int = 15) -> float:
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     probs = np.asarray(mean_probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.shape != (probs.shape[0],):
-        raise ValueError(
-            f"labels shape {labels.shape} does not match {probs.shape[0]} samples"
-        )
+    labels = check_labels(labels, probs.shape[0], probs.shape[1])
     confidence = probs.max(axis=1)
     correct = probs.argmax(axis=1) == labels
     indices = np.minimum((confidence * bins).astype(np.int64), bins - 1)

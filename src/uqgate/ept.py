@@ -69,9 +69,8 @@ class EptManifest:
     version: int = VERSION
 
     def validate(self) -> None:
-        version = self.version
-        if not isinstance(version, int) or isinstance(version, bool) or version != VERSION:
-            raise EptValidationError(f"unsupported container version {version!r}")
+        if not _is_int(self.version) or self.version != VERSION:
+            raise EptValidationError(f"unsupported container version {self.version!r}")
         if self.kind not in KINDS:
             raise EptValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.task not in TASKS:
@@ -82,14 +81,19 @@ class EptManifest:
             )
         for name in ("members", "samples", "classes"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise EptValidationError(f"{name} must be a positive integer, got {value!r}")
         if self.classes < 2:
             raise EptValidationError(f"classes must be >= 2, got {self.classes}")
-        if self.epoch is not None and (
-            not isinstance(self.epoch, int) or isinstance(self.epoch, bool) or self.epoch < 0
-        ):
+        if self.epoch is not None and (not _is_int(self.epoch) or self.epoch < 0):
             raise EptValidationError(f"epoch must be a non-negative integer, got {self.epoch!r}")
+
+    def require(self, by: str, kind: str | None = None, task: str | None = None) -> None:
+        """The one kind and task rule of the library and the CLI: the kind, then the task."""
+        if kind is not None and self.kind != kind:
+            raise EptValidationError(f"{by} requires a {kind} tensor (kind={kind})")
+        if task is not None and self.task != task:
+            raise EptValidationError(f"{by} requires a {task} tensor")
 
     @property
     def dtype(self) -> np.dtype:
@@ -124,6 +128,10 @@ class EptManifest:
         manifest = cls(**fields)  # every key is a field: checked above
         manifest.validate()
         return manifest
+
+
+def _is_int(value) -> bool:  # bool is a subclass of int, but true is not a count
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
@@ -372,6 +380,27 @@ def read_labels(source: TextIO, manifest: EptManifest) -> np.ndarray:
                     f"line {row + 1}: multilabel entry {field!r} is not 0 or 1"
                 )
             labels[row, col] = int(field)
+    return labels
+
+
+def check_labels(labels, samples: int, classes: int) -> np.ndarray:
+    """The multiclass label rule of every library entry point; returns the labels as an array.
+
+    Labels are a (samples,) array of integer class indices in [0, classes):
+    bool and float arrays are refused, whole floats too. :func:`read_labels`
+    applies the same rule to a file, line by line.
+    """
+    labels = np.asarray(labels)
+    if labels.shape != (samples,):
+        raise EptValidationError(f"labels shape {labels.shape} does not match {samples} samples")
+    bad = np.flatnonzero(~np.isin(labels, np.arange(classes)))  # NaN too
+    first = bad[0] if bad.size else 0  # a whole float or a bool fails at the first entry
+    if labels.size and labels.dtype.kind not in "iu":
+        raise EptValidationError(f"labels[{first}]: {labels[first]} is not an integer "
+                                 f"class index (dtype {labels.dtype})")
+    if bad.size:
+        raise EptValidationError(f"labels[{first}]: class index {labels[first]} "
+                                 f"out of range [0, {classes})")
     return labels
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ept import EptValidationError, PredictionTensor
+from .ept import PredictionTensor
 from .stats import Ensemble, blockwise, entropy, member_probs
 
 # Default numerical-stability epsilon of the gate, the SNR and GMU.
@@ -41,7 +41,7 @@ class GateConfig:
 
     def __post_init__(self):
         check_k(self.k)
-        check_epsilon(self.epsilon)
+        check_positive("epsilon", self.epsilon)
 
 
 def check_k(k: float) -> None:
@@ -53,10 +53,10 @@ def check_k(k: float) -> None:
         raise ValueError(f"k must be positive and finite, got {k}")
 
 
-def check_epsilon(epsilon: float) -> None:
-    """The one epsilon rule, shared by GateConfig and every CLI command: eps > 0 (not NaN)."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+def check_positive(name: str, value: float) -> None:
+    """The one positive-scalar rule (epsilon, tau, temperature) of the library and the CLI."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 class Decomposition(NamedTuple):
@@ -126,16 +126,11 @@ def decompose_gated(ens: Ensemble, cfg: GateConfig) -> Decomposition:
 
 def gated_members(tensor: PredictionTensor, cfg: GateConfig) -> GatedEnsemble:
     """Gate and renormalize every member row of a multiclass probs or logits tensor, whole."""
-    _check_multiclass(tensor)
+    tensor.manifest.require("variance gating", task="multiclass")
     return gate_ensemble(Ensemble(member_probs(tensor)), cfg)
 
 
 def gated_decomposition(tensor: PredictionTensor, cfg: GateConfig) -> Decomposition:
     """Gated TU/AU/EU of a multiclass probs or logits tensor (see :func:`decompose_gated`)."""
-    _check_multiclass(tensor)
+    tensor.manifest.require("variance gating", task="multiclass")
     return Decomposition(*blockwise(tensor, lambda ens: decompose_gated(ens, cfg)))
-
-
-def _check_multiclass(tensor: PredictionTensor) -> None:
-    if tensor.manifest.task != "multiclass":
-        raise EptValidationError("variance gating is defined for multiclass tensors only")

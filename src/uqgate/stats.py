@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ept import EptValidationError, PredictionTensor, _adopt_tensor
+from .ept import PredictionTensor, _adopt_tensor
 
 # Clamp applied inside logarithms only: perturbs entropy by < 3e-11 nats per
 # class while keeping one-hot rows finite.
@@ -151,8 +151,7 @@ def blockwise(tensor: PredictionTensor, measure: Callable[[Ensemble], object]):
 
 def softmax_tensor(tensor: PredictionTensor) -> PredictionTensor:
     """Convert a logits tensor to a binary64 probs tensor via row softmax."""
-    if tensor.manifest.kind != "logits":
-        raise EptValidationError("softmax_tensor expects kind=logits")
+    tensor.manifest.require("softmax_tensor", kind="logits")
     return _adopt_tensor(
         member_probs(tensor),  # a fresh array: it becomes the payload
         kind="probs",

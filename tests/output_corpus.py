@@ -7,7 +7,12 @@ exit status, the digests of its stdout and stderr and, if it wrote any, of
 each file it wrote (``--output`` files, ``synth``'s EPT and label files). What the commands print
 does depend on it, through softmax's exp and the entropies' log, so the
 digests are kept per numpy version and dispatch path, the highest x86 target
-that numpy's kernels use (``X86_V4`` with AVX-512, ``X86_V3`` with AVX2).
+that numpy's kernels use (``X86_V4`` with AVX-512, ``X86_V3`` with AVX2). A
+case whose record is the same on every recorded path is kept once, under
+``common``; on this corpus only the JSON reports and ``synth``'s files differ.
+
+The corpus runs twice, on fixtures drawn from two seeds; the second run's
+case and file names carry its prefix (``seed11/``).
 
     python tests/output_corpus.py run DIR   # print this path's digests as JSON
     python tests/output_corpus.py record    # rewrite output_digests.json
@@ -40,9 +45,11 @@ FIXTURES = (PROBS, LOGITS, WIDE, SINGLE, LABELS, WIDE_LABELS, BINARY, BINARY_LAB
 SERIES = tuple(f"collapse_epoch{epoch:03d}.ept" for epoch in range(3))
 OOD_MEASURES = ("tu", "au", "eu", "epce", "epkl", "epjs", "gmu",
                 "gated_tu", "gated_au", "gated_eu")
+# Each run of the corpus by its name prefix: the fixtures' seed and synth's --seed.
+SEEDS = {"": (7, 3), "seed11/": (11, 11)}
 
 
-def all_cases() -> dict[str, list[str]]:
+def all_cases(synth_seed: int) -> dict[str, list[str]]:
     """Each case's argv by name, in run order: a case may read files that earlier ones wrote."""
     cases = {}
     for name, path, labels in ((PROBS, PROBS, LABELS), (LOGITS, LOGITS, LABELS),
@@ -68,7 +75,8 @@ def all_cases() -> dict[str, list[str]]:
 
     # synth writes its files under the case's prefix; calibrate reads the static logits
     # and labels, diversity the collapse series.
-    synth = ["synth", "--samples", "300", "--classes", "10", "--members", "5", "--seed", "3"]
+    synth = ["synth", "--samples", "300", "--classes", "10", "--members", "5",
+             "--seed", str(synth_seed)]
     cases["synth-static"] = [*synth, "--out", "static"]
     cases["synth-collapse"] = [*synth, "--mode", "collapse", "--epochs", str(len(SERIES)),
                                "--decay", "3", "--out", "collapse"]
@@ -111,13 +119,13 @@ def all_cases() -> dict[str, list[str]]:
     return cases
 
 
-def _write_fixtures() -> None:
+def _write_fixtures(seed: int) -> None:
     import numpy as np
 
     from uqgate import SynthConfig, generate, make_tensor, write_ept_file
     from uqgate.ept import write_labels
 
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
 
     def counts(shape, dtype=np.float64):
         # Integer counts over their sum: one correctly rounded division per entry.
@@ -137,7 +145,7 @@ def _write_fixtures() -> None:
     # 2100 samples: two full sample blocks and a partial third.
     write_ept_file(counts((8, 2100, 10)), PROBS)
     _, logits, _ = generate(SynthConfig(samples=2100, classes=10, members=8, s_signal=2.0,
-                                        seed=7))
+                                        seed=seed))
     write_ept_file(logits, LOGITS)
     write_ept_file(counts((5, 2100, 100), np.float32), WIDE)
     write_ept_file(counts((1, 300, 10)), SINGLE)
@@ -184,12 +192,22 @@ def _run(argv: list[str]) -> dict:
 
 
 def run_corpus(directory: Path) -> dict:
-    """Build the fixtures in ``directory`` and run every case there, in this process."""
-    os.chdir(directory)  # relative paths: stderr names files the same in any directory
-    _write_fixtures()
-    fixtures = {name: _digest(Path(name).read_bytes()) for name in FIXTURES}
-    runs = {case: _run(argv) for case, argv in all_cases().items()}
+    """Build each seed's fixtures under ``directory`` and run every case there, in this process."""
+    fixtures, runs = {}, {}
+    for prefix, (seed, synth_seed) in SEEDS.items():
+        (directory / prefix).mkdir(exist_ok=True)
+        os.chdir(directory / prefix)  # relative paths: stderr names files the same anywhere
+        _write_fixtures(seed)
+        fixtures.update({prefix + name: _digest(Path(name).read_bytes()) for name in FIXTURES})
+        runs.update({prefix + case: _run(argv) for case, argv in all_cases(synth_seed).items()})
     return {"path": _dispatch_path(), "fixtures": fixtures, "runs": runs}
+
+
+def expected_runs(recorded: dict, path: str) -> dict | None:
+    """Every case's recorded run on dispatch path ``path``, or None if none is recorded."""
+    if path not in recorded["paths"]:
+        return None
+    return {**recorded["common"], **recorded["paths"][path]}
 
 
 def run_child(directory: Path, disable: str | None) -> subprocess.CompletedProcess:
@@ -217,8 +235,13 @@ def _record() -> None:
             sys.exit("fixture bytes differ between dispatch paths")
         fixtures = result["fixtures"]
         paths[result["path"]] = result["runs"]
-    DIGESTS.write_text(json.dumps({"fixtures": fixtures, "paths": paths}, indent=1,
-                                  sort_keys=True) + "\n", encoding="utf-8")
+    first = next(iter(paths.values()))
+    common = {case: run for case, run in first.items()
+              if all(runs[case] == run for runs in paths.values())}
+    paths = {path: {case: run for case, run in runs.items() if case not in common}
+             for path, runs in paths.items()}
+    DIGESTS.write_text(json.dumps({"fixtures": fixtures, "common": common, "paths": paths},
+                                  indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {', '.join(sorted(paths))} in {DIGESTS}")
 
 

@@ -18,7 +18,14 @@ from uqgate import (
     nll,
     softmax,
 )
-from uqgate.calibration import WORK_SAMPLES, _Nll, _search, fit_global, temperature_grid
+from uqgate.calibration import (
+    WORK_SAMPLES,
+    _Nll,
+    _search,
+    fit_objective,
+    objective,
+    temperature_grid,
+)
 from uqgate.ept import EptValidationError
 
 from helpers import RowMajorNll
@@ -210,6 +217,11 @@ def _ref_fit_per_member(data, labels):
 def _ref_fit_global(data, labels):
     m, n, c = data.shape
     return _ref_fit_temperature(data.astype(np.float64).reshape(m * n, c), np.tile(labels, m))
+
+
+def fit_global(tensor, labels):
+    """One temperature for all members, as ``uqgate calibrate`` fits it."""
+    return fit_objective(objective(tensor, labels, pooled=True))
 
 
 def _fields(fit):

@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism, stream separation."""
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -1105,12 +1106,17 @@ def test_a_fifo_output_is_written_directly(workdir, capsys):
     assert text == run(capsys, *_coverage_argv(workdir))[1]
 
 
+def _report_argv(path, members):
+    """A report of 2000 samples, about 280 KB: more than a pipe's buffer holds."""
+    probs, _, _ = generate(SynthConfig(samples=2000, classes=10, members=members, seed=1))
+    write_ept_file(probs, path)
+    return [sys.executable, "-m", "uqgate.cli", "report", "--input", str(path)]
+
+
 @pytest.fixture
 def long_report(tmp_path):
-    """A report of four sample blocks, about 280 KB: more than a pipe's buffer holds."""
-    probs, _, _ = generate(SynthConfig(samples=2000, classes=10, members=20, seed=1))
-    write_ept_file(probs, tmp_path / "long.ept")
-    return [sys.executable, "-m", "uqgate.cli", "report", "--input", str(tmp_path / "long.ept")]
+    """A report of four sample blocks."""
+    return _report_argv(tmp_path / "long.ept", members=20)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -1120,15 +1126,43 @@ def test_a_full_stdout_is_one_error_line(long_report):
     assert (result.returncode, result.stderr) == (1, "error: [Errno 28] No space left on device\n")
 
 
-def test_a_closed_pipe_is_one_error_line(long_report):
-    # As written: exit 1 and one error line, not the quiet exit of a Unix filter.
-    child = subprocess.Popen(long_report, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+def _read_then_close(argv):
+    """Exit status, stderr and the first 100 bytes of a run whose reader then closes stdout."""
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     head = child.stdout.read(100)
     child.stdout.close()
     err = child.stderr.read()
     child.stderr.close()
-    assert (child.wait(), err) == (1, b"error: [Errno 32] Broken pipe\n")
+    return child.wait(), err, head
+
+
+def test_a_closed_pipe_is_one_error_line(long_report):
+    # As written: exit 1 and one error line, not the quiet exit of a Unix filter.
+    code, err, head = _read_then_close(long_report)
+    assert (code, err) == (1, b"error: [Errno 32] Broken pipe\n")
     assert head.startswith(b"sample,tu,au,eu,")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_of_a_process_is_the_text_of_an_in_process_run(long_report, fmt):
+    # A process writes the encoded chunks to stdout's buffer; a StringIO takes the text.
+    result = subprocess.run([*long_report, "--format", fmt], capture_output=True)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main([*long_report[3:], "--format", fmt]) == 0
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == text.getvalue().encode()
+
+
+def test_a_pipe_closed_inside_the_one_chunk_is_one_error_line(tmp_path):
+    # One sample block is one chunk, larger than the pipe's buffer: the write that the
+    # reader's close cuts short returns a short count and raises nothing itself.
+    assert stats.BLOCK_VALUES // (4 * 10) >= 2000  # 4 members, 10 classes: one block
+    argv = _report_argv(tmp_path / "one_block.ept", members=4)
+    for _ in range(5):
+        code, err, head = _read_then_close(argv)
+        assert (code, err) == (1, b"error: [Errno 32] Broken pipe\n")
+        assert head.startswith(b"sample,tu,au,eu,")
 
 
 def test_duplicate_manifest_keys_fail_cleanly(tmp_path, capsys):

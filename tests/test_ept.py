@@ -11,17 +11,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqgate import (
+    ClassStats,
     EptError,
     EptFormatError,
     EptManifest,
     EptValidationError,
+    GateConfig,
+    apply_temperature,
+    collapse_epoch,
+    coverage_risk,
+    ece,
+    fit_per_member,
+    fit_temperature,
+    gated_decomposition,
+    gated_members,
     make_tensor,
+    nll,
     read_ept,
     read_labels,
+    softmax_tensor,
     write_ept,
 )
 from uqgate import ept
+from uqgate.calibration import objective
 from uqgate.cli import main
+from uqgate.gating import check_positive
 from uqgate.ept import KINDS, MAGIC, PRECISIONS, write_labels
 
 from helpers import logits_tensor, probs_tensor, random_probs
@@ -657,3 +671,133 @@ def test_duplicate_manifest_keys_rejected():
             '"samples":1,"classes":2,"precision":"binary64","members":1}')
     with pytest.raises(EptFormatError, match="^manifest has duplicate field 'kind'$"):
         EptManifest.from_json(text)
+
+
+# ---------------------------------------------------------------------------
+# Each input contract is raised by one function, which the library and the CLI share.
+
+_GOOD_LABELS = [0, 1, 2, 1, 0]
+# Each bad label array, and the error that names its first bad entry.
+_BAD_LABELS = {
+    "minus-one": ([0, 1, -1, 1, -1], r"^labels\[2\]: class index -1 out of range \[0, 3\)$"),
+    "classes": ([0, 1, 3, 1, 3], r"^labels\[2\]: class index 3 out of range \[0, 3\)$"),
+    "half": ([0, 1, 0.5, 1, 0.5],
+             r"^labels\[2\]: 0.5 is not an integer class index \(dtype float64\)$"),
+    "bool": ([True, False, True, False, True],
+             r"^labels\[0\]: True is not an integer class index \(dtype bool\)$"),
+}
+
+
+def _label_entry_points():
+    logits = np.random.default_rng(0).normal(size=(2, 5, 3))
+    probs = np.exp(logits[0]) / np.exp(logits[0]).sum(-1, keepdims=True)
+    tensor = logits_tensor(logits)
+    stats = ClassStats(probs, np.zeros_like(probs))
+    return {
+        "nll": lambda labels: nll(probs, labels),
+        "fit_temperature": lambda labels: fit_temperature(logits[0], labels),
+        "fit_per_member": lambda labels: fit_per_member(tensor, labels),
+        "objective": lambda labels: objective(tensor, labels)(np.ones(2)),
+        "objective-pooled": lambda labels: objective(tensor, labels, pooled=True)(np.ones(1)),
+        "coverage_risk": lambda labels: coverage_risk(stats, labels, [0.5, 1.0]),
+        "ece": lambda labels: ece(probs, labels),
+    }
+
+
+class TestLabelContract:
+    @pytest.mark.parametrize("entry", list(_label_entry_points()))
+    @pytest.mark.parametrize("bad", list(_BAD_LABELS))
+    def test_every_entry_point_rejects_bad_labels(self, entry, bad):
+        labels, message = _BAD_LABELS[bad]
+        with pytest.raises(EptValidationError, match=message):
+            _label_entry_points()[entry](np.array(labels))
+
+    @pytest.mark.parametrize("entry", list(_label_entry_points()))
+    def test_every_entry_point_takes_any_integer_dtype(self, entry):
+        run = _label_entry_points()[entry]
+
+        def bits(labels):
+            result = run(labels)
+            return [np.asarray(part, dtype=np.float64).tobytes()
+                    for part in (result if isinstance(result, tuple) else (result,))]
+
+        want = bits(np.array(_GOOD_LABELS))
+        for labels in (_GOOD_LABELS, *(np.array(_GOOD_LABELS, dtype=dtype)
+                                       for dtype in (np.uint8, np.int32, np.uint64))):
+            assert bits(labels) == want
+
+    def test_check_labels(self):
+        labels = ept.check_labels([2, 0, 1], 3, 3)
+        assert isinstance(labels, np.ndarray) and labels.tolist() == [2, 0, 1]
+        with pytest.raises(EptValidationError, match=r"^labels shape \(2,\) does not match 3 "):
+            ept.check_labels([0, 1], 3, 3)
+        with pytest.raises(EptValidationError, match=r"^labels\[0\]: 1.0 is not an integer "):
+            ept.check_labels([1.0, 0.0, 1.0], 3, 3)  # whole floats too
+        with pytest.raises(EptValidationError, match=r"^labels\[1\]: nan is not an integer "):
+            ept.check_labels([0.0, np.nan, 1.0], 3, 3)
+        assert ept.check_labels(np.array([], dtype=float), 0, 3).size == 0
+
+
+def _manifest(kind="probs", task="multiclass"):
+    return EptManifest(kind=kind, task=task, members=1, samples=2, classes=3,
+                       precision="binary64")
+
+
+class TestRequire:
+    @pytest.mark.parametrize("by", ["report", "coverage", "calibrate", "ood"])
+    def test_task_message_is_the_cli_message(self, by):
+        with pytest.raises(EptValidationError, match=f"^{by} requires a multiclass tensor$"):
+            _manifest(task="multilabel").require(by, task="multiclass")
+
+    def test_kind_message_is_the_cli_message(self):
+        message = r"^calibration requires a logits tensor \(kind=logits\)$"
+        with pytest.raises(EptValidationError, match=message):
+            _manifest().require("calibration", kind="logits")
+
+    def test_kind_before_task(self):
+        with pytest.raises(EptValidationError, match=r"^x requires a logits tensor \(kind="):
+            _manifest(task="multilabel").require("x", kind="logits", task="multiclass")
+
+    def test_a_matching_tensor_passes(self):
+        _manifest("logits").require("x", kind="logits", task="multiclass")
+        _manifest(task="multilabel").require("x")
+
+    def test_library_messages(self, rng):
+        multilabel = probs_tensor(rng.random((2, 3, 4)), task="multilabel")
+        probs = probs_tensor(random_probs(rng, 2, 3, 4))
+        cases = [
+            (lambda: gated_members(multilabel, GateConfig(k=1.0)),
+             r"^variance gating requires a multiclass tensor$"),
+            (lambda: gated_decomposition(multilabel, GateConfig(k=1.0)),
+             r"^variance gating requires a multiclass tensor$"),
+            (lambda: softmax_tensor(probs),
+             r"^softmax_tensor requires a logits tensor \(kind=logits\)$"),
+            (lambda: objective(probs, np.zeros(3, dtype=int)),
+             r"^calibration requires a logits tensor \(kind=logits\)$"),
+        ]
+        for call, message in cases:
+            with pytest.raises(EptValidationError, match=message):
+                call()
+
+
+class TestCheckPositive:
+    @pytest.mark.parametrize("name, value, message", [
+        ("epsilon", 0.0, "epsilon must be positive, got 0.0"),
+        ("tau", -1.0, "tau must be positive, got -1.0"),  # the CLI's diversity message
+        ("temperature", float("nan"), "temperature must be positive, got nan"),
+        ("epsilon", -0.0, "epsilon must be positive, got -0.0"),
+    ])
+    def test_message(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_positive(name, value)
+
+    def test_library_entry_points(self):
+        tensor = probs_tensor(np.full((2, 2, 2), 0.5))
+        for call, message in [
+            (lambda: GateConfig(k=1.0, epsilon=0.0), "^epsilon must be positive, got 0.0$"),
+            (lambda: apply_temperature(np.zeros((1, 2)), -2.0),
+             "^temperature must be positive, got -2.0$"),
+            (lambda: collapse_epoch([tensor], tau=0.0), "^tau must be positive, got 0.0$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                call()

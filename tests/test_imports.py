@@ -107,6 +107,29 @@ def test_block_policy_stays_in_stats(path):
     assert not uses, f"{path.name} names the sample-block policy at {uses}"
 
 
+# Each input contract is raised by one function, in the module that owns it.
+CONTRACT_OWNERS = {"labels shape": "ept.py", " requires a ": "ept.py",
+                   "must be positive, got": "gating.py"}
+
+
+def _raised_text(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            for inner in ast.walk(node.exc):
+                if isinstance(inner, ast.Constant) and isinstance(inner.value, str):
+                    yield node.lineno, inner.value
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_each_contract_is_raised_by_its_owner(path):
+    # check_labels and EptManifest.require in ept, check_positive in gating: a copy of a
+    # rule elsewhere would drift from the one every entry point shares.
+    copies = [(line, words) for line, text in _raised_text(path)
+              for words, owner in CONTRACT_OWNERS.items()
+              if words in text and path.name != owner]
+    assert not copies, f"{path.name} raises a contract of another module at {copies}"
+
+
 def test_cli_import_loads_no_scipy():
     # Every top-level module the CLI adds beyond numpy's own is stdlib or uqgate.
     code = ("import sys, json, numpy\n"

@@ -1,11 +1,12 @@
 """What the CLI prints stays byte for byte what it printed when the digests were recorded.
 
 The corpus (``output_corpus.py``) runs every subcommand, to stdout and to
-``--output`` files, and their common errors, on fixtures whose bytes do not
-depend on numpy's CPU dispatch; files that a run writes are digested too.
-Each dispatch path this host supports runs the whole corpus in one child
-process and is compared with the digests recorded for that numpy version and
-path; one with none recorded is skipped.
+``--output`` files, and their common errors, on fixtures from two seeds whose
+bytes do not depend on numpy's CPU dispatch; files that a run writes are
+digested too. Each dispatch path this host supports runs the whole corpus in
+one child process and is compared with the digests recorded for that numpy
+version and path, and with those common to every recorded path; one with none
+recorded is skipped.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import json
 
 import pytest
 
-from output_corpus import DIGESTS, NO_AVX512, all_cases, run_child
+from output_corpus import DIGESTS, NO_AVX512, SEEDS, all_cases, expected_runs, run_child
 from uqgate import cli
 
 RECORDED = json.loads(DIGESTS.read_text(encoding="utf-8"))
@@ -25,7 +26,7 @@ def test_output_bytes_match_the_recorded_digests(tmp_path, disable):
     assert child.returncode == 0, child.stderr
     result = json.loads(child.stdout)
     assert result["fixtures"] == RECORDED["fixtures"]
-    expected = RECORDED["paths"].get(result["path"])
+    expected = expected_runs(RECORDED, result["path"])
     if expected is None:
         pytest.skip(f"no digests recorded for {result['path']}")
     assert sorted(result["runs"]) == sorted(expected)
@@ -37,4 +38,5 @@ def test_every_subcommand_has_a_case():
     parser = cli._build_parser()
     commands = next(action.choices for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
-    assert set(commands) <= {argv[0] for argv in all_cases().values()}
+    for _, synth_seed in SEEDS.values():
+        assert set(commands) <= {argv[0] for argv in all_cases(synth_seed).values()}
