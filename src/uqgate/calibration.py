@@ -204,7 +204,7 @@ def objective(tensor: PredictionTensor, labels: np.ndarray, pooled: bool = False
     It keeps its own copy of the logits, so a caller can free the tensor
     before :func:`fit_objective` runs the search.
     """
-    tensor.manifest.require("calibration", kind="logits")
+    tensor.manifest.require("calibration", kind="logits", task="multiclass")
     return _Nll(tensor.data.astype(np.float64, copy=False), labels, pooled)
 
 

@@ -223,12 +223,6 @@ def cmd_diversity(args) -> Iterable[str]:
 # coverage
 
 
-def _rule_columns(ens):
-    """A block's margin-rule columns, with i and j copied: views would keep its argsort alive."""
-    i, j, *columns = ens.stats.top2
-    return i.copy(), j.copy(), *columns
-
-
 def cmd_coverage(args) -> Iterable[str]:
     k_grid = _parse_k_grid(args.k_grid)
     for k in k_grid:
@@ -237,7 +231,7 @@ def cmd_coverage(args) -> Iterable[str]:
     tensor = _read_input(args.input)
     tensor.manifest.require("coverage", task="multiclass")
     labels = read_labels_file(args.labels, tensor.manifest)
-    curve = diagnostics._coverage_curve(blockwise(tensor, _rule_columns), labels, k_grid)
+    curve = diagnostics._coverage_curve(blockwise(tensor, lambda e: e.stats.top2), labels, k_grid)
     lines = ["k,coverage,risk\n"]
     for k, cov, risk in zip(curve.k, curve.coverage, curve.risk):
         risk_cell = "NA" if np.isnan(risk) else _fmt(float(risk))

@@ -149,6 +149,8 @@ def ece(mean_probs: np.ndarray, labels: np.ndarray, bins: int = 15) -> float:
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     probs = np.asarray(mean_probs, dtype=np.float64)
+    if not np.isfinite(probs).all():  # a NaN confidence would fall in no bin yet count in N
+        raise ValueError("mean_probs must be finite")
     labels = check_labels(labels, probs.shape[0], probs.shape[1])
     confidence = probs.max(axis=1)
     correct = probs.argmax(axis=1) == labels

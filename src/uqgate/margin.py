@@ -44,16 +44,19 @@ class MulticlassDecisions(NamedTuple):
 def top2(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the two largest class means per sample; ties break low.
 
-    Accepts a single row (C,) or a batch (N, C); returns scalars or arrays.
+    Accepts a single row (C,) or a batch (N, C) of finite means; returns scalars or arrays.
     """
     mu = np.asarray(mu, dtype=np.float64)
-    single = mu.ndim == 1
-    rows = mu[None, :] if single else mu
+    rows = np.atleast_2d(mu)
     if rows.shape[1] < 2:
         raise ValueError("top2 requires at least 2 classes")
-    order = np.argsort(-rows, axis=1, kind="stable")
-    i, j = order[:, 0], order[:, 1]
-    if single:
+    if not np.isfinite(rows).all():  # argmax would pick a NaN; a sort puts it last
+        raise ValueError("top2 requires finite class means")
+    i = rows.argmax(axis=1)  # the first maximum: ties break low, as in a stable sort
+    rest = rows.copy()
+    rest[np.arange(rows.shape[0]), i] = -np.inf
+    j = rest.argmax(axis=1)
+    if mu.ndim == 1:
         return int(i[0]), int(j[0])
     return i, j
 

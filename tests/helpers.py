@@ -122,10 +122,18 @@ def _old_snr(margin, spread, eps):
     return np.where(np.isnan(snr), 0.0, snr)
 
 
+def argsort_top2(mu):
+    """margin.top2 as a stable argsort of the negated means: the reference of its two argmax
+    passes. A (C,) row gives two ints, an (N, C) batch two index arrays."""
+    mu = np.asarray(mu, dtype=np.float64)
+    order = np.argsort(-np.atleast_2d(mu), axis=1, kind="stable")
+    i, j = order[:, 0], order[:, 1]
+    return (int(i[0]), int(j[0])) if mu.ndim == 1 else (i, j)
+
+
 def old_decide_multiclass(stats, k, eps=1e-8):
     rows = np.arange(stats.samples)
-    order = np.argsort(-stats.mu, axis=1, kind="stable")
-    i, j = order[:, 0], order[:, 1]
+    i, j = argsort_top2(stats.mu)
     mu, sigma = stats.mu, stats.sigma
     snr = _old_snr(mu[rows, i] - mu[rows, j], sigma[rows, i] + sigma[rows, j], eps)
     fires = (mu[rows, i] - k * sigma[rows, i]) > (mu[rows, j] + k * sigma[rows, j])

@@ -163,6 +163,16 @@ class TestFitPerMember:
         with pytest.raises(EptValidationError, match="logits"):
             fit_per_member(tensor, np.zeros(4, dtype=int))
 
+    def test_multilabel_tensor_rejected(self, rng):
+        # A softmax NLL needs one class per sample; without the task check both fit T = 10.
+        tensor = make_tensor(rng.normal(size=(2, 5, 3)), kind="logits", task="multilabel")
+        labels = np.array([0, 1, 2, 1, 0])
+        for fit in (lambda: fit_per_member(tensor, labels),
+                    lambda: objective(tensor, labels, pooled=True)):
+            with pytest.raises(EptValidationError,
+                               match="^calibration requires a multiclass tensor$"):
+                fit()
+
 
 # ---------------------------------------------------------------------------
 # The lockstep search against the scalar one it replaced: one full softmax

@@ -222,12 +222,6 @@ class TestCoverage:
             monkeypatch.setattr(stats, "BLOCK_VALUES", block_budget(tensor, samples))
             assert run(capsys, *argv) == whole
 
-    def test_joined_columns_hold_no_block_argsort(self, rng):
-        # coverage keeps every block's columns until they are joined; a view of i or j
-        # would keep that block's (B, C) argsort alive as long.
-        columns = cli._rule_columns(Ensemble(random_probs(rng, 3, 5, 4)))
-        assert len(columns) == 6 and all(column.base is None for column in columns)
-
     def test_epsilon_has_no_effect(self, workdir, capsys):
         argv = ("coverage", "--input", workdir / "probs.ept", "--labels", workdir / "labels.csv",
                 "--k-grid", "0.01:10:50")

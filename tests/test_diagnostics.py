@@ -321,3 +321,10 @@ class TestEce:
             ece(probs, np.array([0]), bins=0)
         with pytest.raises(ValueError, match="labels"):
             ece(probs, np.array([0, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_probabilities(self, bad):
+        # A NaN confidence falls in no bin but counts in N: unchecked, this scores 0.1.
+        probs = np.array([[0.9, 0.1], [bad, 0.5], [0.2, 0.8]])
+        with pytest.raises(ValueError, match="^mean_probs must be finite$"):
+            ece(probs, np.array([0, 1, 1]))

@@ -87,6 +87,33 @@ def test_no_blas_calls(path):
                       "single-threaded (cli.py defaults OPENBLAS_NUM_THREADS to 1)")
 
 
+SORT_NAMES = {"argsort", "sort", "argpartition", "partition", "lexsort"}
+
+
+def _sort_calls(path: Path):
+    """(line, enclosing function, name) of each call named in SORT_NAMES."""
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in SORT_NAMES:
+                yield node.lineno, function, name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_auroc_ranks_sort(path):
+    # margin.top2 takes two argmax passes, O(C) a row; only the AUROC's midranks need
+    # the order of all scores.
+    calls = [(line, name) for line, function, name in _sort_calls(path)
+             if (path.name, function) != ("diagnostics.py", "_midranks")]
+    assert not calls, f"{path.name} sorts at {calls}"
+
+
 def _names(path: Path):
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.Name):

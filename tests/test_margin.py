@@ -19,6 +19,7 @@ from uqgate import (
 )
 
 from helpers import (
+    argsort_top2,
     class_stats,
     old_decide_multiclass,
     old_decide_multilabel,
@@ -30,6 +31,14 @@ from helpers import (
 def stats_from(mu, sigma):
     return ClassStats(mu=np.atleast_2d(np.asarray(mu, dtype=np.float64)),
                       sigma=np.atleast_2d(np.asarray(sigma, dtype=np.float64)))
+
+
+# Ties, signed zeros, subnormals, the smallest normal and the largest finite values,
+# drawn often; any other finite float too.
+_TOP2_MEANS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 0.25, 0.5, 1.0, 1e308,
+                     -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
 
 
 class TestTop2:
@@ -48,6 +57,28 @@ class TestTop2:
     def test_needs_two_classes(self):
         with pytest.raises(ValueError, match="2 classes"):
             top2(np.array([1.0]))
+
+    @given(mu=hnp.arrays(np.float64, st.one_of(st.tuples(st.integers(2, 11)),
+                                               st.tuples(st.integers(0, 6), st.integers(2, 11))),
+                         elements=_TOP2_MEANS))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_stable_argsort(self, mu):
+        got, ref = top2(mu), argsort_top2(mu)
+        if mu.ndim == 1:
+            assert got == ref and all(type(index) is int for index in got)
+        else:
+            for index, want in zip(got, ref, strict=True):  # fresh arrays, not views
+                assert index.dtype == want.dtype and index.tobytes() == want.tobytes()
+                assert index.base is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("place", [0, 2])
+    def test_refuses_non_finite_means(self, bad, place):
+        row = np.array([0.25, 0.5, 0.25])
+        row[place] = bad
+        for mu in (row, np.stack([np.full(3, 1 / 3), row])):
+            with pytest.raises(ValueError, match="^top2 requires finite class means$"):
+                top2(mu)
 
 
 class TestDecideMulticlass:

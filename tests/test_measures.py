@@ -24,7 +24,7 @@ from uqgate.gating import decompose_gated
 from uqgate.measures import decompose, pairwise_ce, pairwise_js, pairwise_kl
 from uqgate.stats import member_probs
 
-from helpers import block_budget, ordered_pair_js, probs_tensor, random_probs
+from helpers import argsort_top2, block_budget, ordered_pair_js, probs_tensor, random_probs
 
 CLAMP = 1e-12
 
@@ -201,8 +201,7 @@ def _ref_margin(tensor, k, eps):
     probs = _ref_probs(tensor)
     mu, sigma = probs.mean(axis=0), probs.std(axis=0)
     rows = np.arange(mu.shape[0])
-    order = np.argsort(-mu, axis=1, kind="stable")
-    i, j = order[:, 0], order[:, 1]
+    i, j = argsort_top2(mu)
     mu_i, mu_j, sig_i, sig_j = mu[rows, i], mu[rows, j], sigma[rows, i], sigma[rows, j]
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = 1.0 - np.exp(-(mu_i - mu_j) / (sig_i + sig_j + eps))
@@ -439,3 +438,14 @@ class TestScoreTable:
         scores = measures.block_scores(ens, [*measures.SCORES, "eu", "tu"], GateConfig(k=1.0))
         assert len(scores) == 12 and calls == ["decompose", "decompose_gated"]
         assert all(score.shape == (10,) for score in scores)
+
+    @pytest.mark.parametrize("members, classes", [(1, 2), (3, 2), (4, 5), (2, 40)])
+    def test_joined_columns_own_their_memory(self, rng, members, classes):
+        # blockwise keeps every block's per-sample results until it joins them, so a
+        # view would keep its block's (M, B, C) or (B, C) base alive as long.
+        ens = Ensemble(random_probs(rng, members, 6, classes))
+        scores = measures.block_scores(ens, list(measures.SCORES), GateConfig(k=1.0))
+        columns = dict(zip(measures.SCORES, scores, strict=True))
+        columns.update(zip(("i", "j", "mu_i", "mu_j", "sigma_i", "sigma_j"), ens.stats.top2,
+                           strict=True))
+        assert [name for name, column in columns.items() if column.base is not None] == []
