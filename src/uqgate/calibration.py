@@ -23,7 +23,7 @@ import numpy as np
 
 from .ept import PredictionTensor, check_labels
 from .gating import check_positive
-from .stats import LOG_CLAMP, class_sum_into, softmax
+from .stats import clamped_log, class_sum_into, softmax
 
 T_MIN = 0.01
 T_MAX = 10.0
@@ -59,7 +59,7 @@ def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     probs = np.asarray(probs, dtype=np.float64)
     labels = check_labels(labels, probs.shape[0], probs.shape[1])
     picked = probs[np.arange(probs.shape[0]), labels]
-    return float(-np.log(np.clip(picked, LOG_CLAMP, None)).mean())
+    return float(-clamped_log(picked).mean())
 
 
 class _Nll:
@@ -119,8 +119,7 @@ class _Nll:
             picked -= maxes
             np.exp(picked, out=picked)
             picked /= sums
-            np.clip(picked, LOG_CLAMP, None, out=picked)
-            np.log(picked, out=picked)
+            clamped_log(picked, out=picked)
             np.negative(picked, out=self._losses[:, start:stop])
         return self._losses.reshape(self.count, -1).mean(axis=-1)
 
@@ -163,9 +162,9 @@ def _golden_sections(objective, lo: list[float], hi: list[float]) -> list[float]
     return [(x + y) / 2.0 for x, y in zip(a, b)]
 
 
-def temperature_grid(points: int = GRID_POINTS) -> np.ndarray:
-    """The log-uniform search grid over [T_MIN, T_MAX]."""
-    grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), points))
+def temperature_grid() -> np.ndarray:
+    """The GRID_POINTS-point log-uniform search grid over [T_MIN, T_MAX]."""
+    grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), GRID_POINTS))
     # exp(log(x)) can land one ulp outside the declared bounds.
     grid[0], grid[-1] = T_MIN, T_MAX
     return grid

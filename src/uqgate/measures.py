@@ -6,8 +6,8 @@ member entropies for cross-entropy, which yields the exact identity
 EPKL = EPCE - AU. EPJS still averages over every ordered pair, but computes
 each unordered pair once, on a class-major copy of the block (see
 :func:`pairwise_js`), with every bit as an entropy over (B, C) rows would give.
-Logs share the 1e-12 clamp from stats, so divergences of disjoint one-hot
-rows stay large but finite (about 27.6 nats).
+Every log is stats.clamped_log, whose 1e-12 clamp belongs to stats alone, so
+divergences of disjoint one-hot rows stay large but finite (about 27.6 nats).
 
 Each measure is computed from one sample block's shared
 :class:`~uqgate.stats.Ensemble` view; the functions taking a tensor map it
@@ -23,7 +23,7 @@ import numpy as np
 from . import gating, margin
 from .ept import PredictionTensor
 from .gating import Decomposition, GateConfig
-from .stats import LOG_CLAMP, Ensemble, blockwise, class_sum_into, entropy
+from .stats import Ensemble, blockwise, clamped_log, class_sum_into, entropy
 from .stats import member_probs  # noqa: F401  (kept bound here: perfbench's tracer wraps it)
 
 
@@ -75,14 +75,14 @@ def pairwise_js(ens: Ensemble) -> np.ndarray:
         mx, tx = mix[:, :m - d], terms[:, :m - d]
         np.add(rows[:, :m - d], rows[:, d:], out=mx)
         mx *= 0.5
-        np.maximum(mx, LOG_CLAMP, out=tx)
-        np.log(tx, out=tx)
+        clamped_log(mx, out=tx)
         tx *= mx
         hx = class_sum_into(tx, out=tx[0])  # tx is scratch here
         np.negative(hx, out=hx)
         h[member[:m - d], member[d:]] = hx
         h[member[d:], member[:m - d]] = hx
     mix_h_total = np.zeros(b)
+    # Not .sum(axis=0): in a one-sample block numpy adds the (M, 1) sums pairwise.
     for per_i in h.sum(axis=1):
         mix_h_total += per_i
     return mix_h_total / (m * m) - member_h.mean(axis=0)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .ept import PredictionTensor, _adopt_tensor
 
-# Clamp applied inside logarithms only: perturbs entropy by < 3e-11 nats per
-# class while keeping one-hot rows finite.
+# Clamp applied inside logarithms only (see clamped_log): perturbs entropy by
+# < 3e-11 nats per class while keeping one-hot rows finite.
 LOG_CLAMP = 1e-12
 
 # Values per sample block of a blocked evaluation, M * B * C: bounds every
@@ -38,18 +38,23 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
+def clamped_log(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ln max(p, LOG_CLAMP), the one log of a probability; into ``out`` (may be ``p``) if given."""
+    out = np.maximum(p, LOG_CLAMP, out=out)
+    return np.log(out, out=out)
+
+
 def entropy(dist: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shannon entropy in nats, with the convention 0 * ln 0 = 0.
 
-    Probabilities are clamped to >= 1e-12 inside the log only; negative
-    entries are rejected.
+    Probabilities are clamped to >= 1e-12 inside the log only
+    (:func:`clamped_log`); negative entries are rejected.
     """
     dist = np.asarray(dist, dtype=np.float64)
     if dist.min() < 0:
         raise ValueError(f"negative probability {dist.min()} passed to entropy")
     # One temporary, reused in place for the log and the product.
-    terms = np.clip(dist, LOG_CLAMP, None)
-    np.log(terms, out=terms)
+    terms = clamped_log(dist)
     terms *= dist
     return -terms.sum(axis=axis)
 
@@ -214,8 +219,7 @@ class Ensemble:
     @cached_property
     def _log_terms(self) -> tuple[np.ndarray, np.ndarray]:
         # entropy(self.probs), sharing its clamped logs with their member mean.
-        terms = np.clip(self.probs, LOG_CLAMP, None)
-        np.log(terms, out=terms)
+        terms = clamped_log(self.probs)
         mean_log_probs = terms.mean(axis=0)
         terms *= self.probs
         return -terms.sum(axis=-1), mean_log_probs

@@ -134,6 +134,14 @@ def test_block_policy_stays_in_stats(path):
     assert not uses, f"{path.name} names the sample-block policy at {uses}"
 
 
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "stats.py"],
+                         ids=lambda path: path.name)
+def test_log_clamp_stays_in_stats(path):
+    # Every log of a probability is stats.clamped_log, so the clamp is known in one module.
+    uses = [line for line, name in _names(path) if name == "LOG_CLAMP"]
+    assert not uses, f"{path.name} names LOG_CLAMP at lines {uses}"
+
+
 # Each input contract is raised by one function, in the module that owns it.
 CONTRACT_OWNERS = {"labels shape": "ept.py", " requires a ": "ept.py",
                    "must be positive, got": "gating.py"}

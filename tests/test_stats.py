@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from uqgate import ClassStats, Ensemble, entropy, make_tensor, softmax, softmax_tensor, stats
 from uqgate.ept import EptValidationError
-from uqgate.stats import member_probs
+from uqgate.stats import LOG_CLAMP, clamped_log, member_probs
 
 from helpers import (
     block_budget, class_sum, logits_tensor, old_softmax, old_softmax_tensor, probs_tensor,
@@ -244,6 +244,27 @@ class TestEntropy:
         rows = rng.dirichlet(np.ones(4), size=30)
         loop = np.array([-(r * np.log(np.clip(r, 1e-12, None))).sum() for r in rows])
         np.testing.assert_allclose(entropy(rows), loop, atol=1e-15)
+
+
+# Probabilities with the edges of the clamp: signed zeros, the smallest subnormal,
+# LOG_CLAMP and its two neighbours, and 1.
+_CLAMP_EDGES = [0.0, -0.0, 5e-324, LOG_CLAMP, np.nextafter(LOG_CLAMP, 0.0),
+                np.nextafter(LOG_CLAMP, 1.0), 1.0]
+
+
+class TestClampedLog:
+    """clamped_log against np.log(np.clip(p, 1e-12, None)), the clamp spelled independently."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+                      elements=st.one_of(st.floats(0.0, 1.0), st.sampled_from(_CLAMP_EDGES))))
+    def test_bit_identical_to_clip_then_log(self, p):
+        expected = np.log(np.clip(p, 1e-12, None)).tobytes()
+        assert clamped_log(p).tobytes() == expected
+        q = np.empty_like(p)
+        assert clamped_log(p, out=q) is q and q.tobytes() == expected
+        same = p.copy()
+        assert clamped_log(same, out=same) is same and same.tobytes() == expected
 
 
 # Magnitudes from the smallest subnormal to 1e300, signed zeros included, so
