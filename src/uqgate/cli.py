@@ -317,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="per-sample uncertainty report")
     rep.add_argument("--input", required=True, help="EPT file (logits are softmaxed)")
     rep.add_argument("--labels", help="label CSV; adds a correctness column")
-    rep.add_argument("--k", default="1", help="comma-separated gate sensitivities "
+    rep.add_argument("--k", default=f"{DEFAULT_K:g}", help="comma-separated gate sensitivities "
                      "(first value also drives the decision column)")
     rep.add_argument("--epsilon", type=float, default=gating.DEFAULT_EPS)
     rep.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -406,7 +406,8 @@ def main(argv=None) -> int:
             except FileNotFoundError:
                 mode = None
             out = args.output  # not a regular file (/dev/stdout, a FIFO): written directly
-            if mode is None or stat.S_ISREG(mode):
+            named = os.path.basename(out) not in {"", ".", ".."}  # "", "new/": open refuses
+            if named and (mode is None or stat.S_ISREG(mode)):
                 # A lazy report can fail part way, so it goes to a new file beside the
                 # target, which takes the target's place once the whole report is written.
                 target = os.path.realpath(args.output)  # a symlink keeps its link

@@ -106,12 +106,12 @@ def coverage_risk(
 
 def _coverage_curve(top2, labels: np.ndarray, ks: np.ndarray) -> CoverageRiskCurve:
     """:func:`coverage_risk` on the rule's columns, ``ClassStats.top2``, once both are checked."""
-    i, _, mu_i, mu_j, sigma_i, sigma_j = top2
+    i, _, *columns = top2
     wrong = i != labels
     coverage = np.empty(ks.shape)
     risk = np.empty(ks.shape)
     for idx, k in enumerate(ks):
-        decided = _fires(float(k), mu_i, mu_j, sigma_i, sigma_j)
+        decided = _fires(float(k), *columns)
         coverage[idx] = decided.mean()
         risk[idx] = wrong[decided].mean() if decided.any() else np.nan
     return CoverageRiskCurve(k=ks, coverage=coverage, risk=risk)

@@ -1,13 +1,15 @@
 """SNR prediction rules and variance-gated margin uncertainty (GMU).
 
-Multiclass: the margin between the top-2 class means, scaled by their
-combined spread, drives both an abstention rule and the gated score
+One formula serves both tasks. Per sample it reads four columns, the top
+two means mu(i) >= mu(j) and their spreads sigma(i), sigma(j):
 
-    GMU = 1 - mu(i) * (1 - exp(-(mu(i) - mu(j)) / (sigma(i) + sigma(j) + eps)))
+    SNR = (mu(i) - mu(j)) / (sigma(i) + sigma(j) + eps)            (_snr)
+    rule: predict iff mu(i) - k sigma(i) > mu(j) + k sigma(j)      (_fires)
+    GMU = 1 - mu(i) * gamma, with the gate gamma = 1 - exp(-SNR)   (_gmu)
 
-Multilabel: each label is a two-way decision against its complement, with
-mu(i) = max(u, 1 - u) folding the raw mean u; the complement inherits the
-same sigma, so the margin is 2 mu(i) - 1 over spread 2 sigma.
+Multiclass reads the top-2 classes (ClassStats.top2). Multilabel decides
+each label against its complement (_fold): mu(i) = max(u, 1 - u) folds the
+raw mean u, mu(j) = 1 - mu(i), and both spreads are the label's sigma.
 
 Decisions are integer codes: the predicted class index when the rule fires,
 UNCERTAIN (-1) otherwise; multilabel uses PRESENT / ABSENT / UNCERTAIN.
@@ -61,10 +63,11 @@ def top2(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _snr(margin: np.ndarray, spread: np.ndarray, eps: float) -> np.ndarray:
+def _snr(mu_i, mu_j, sigma_i, sigma_j, eps: float) -> np.ndarray:
+    """The one place the SNR is formed: (mu(i) - mu(j)) / (sigma(i) + sigma(j) + eps)."""
     # Zero spread over a subnormal eps overflows to an infinite SNR.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        snr = margin / (spread + eps)
+        snr = (mu_i - mu_j) / (sigma_i + sigma_j + eps)
     # 0/0 (tied means, zero spread, eps=0) counts as no signal.
     return np.where(np.isnan(snr), 0.0, snr)
 
@@ -74,15 +77,20 @@ def _fires(k: float, mu_i, mu_j, sigma_i, sigma_j) -> np.ndarray:
     return (mu_i - k * sigma_i) > (mu_j + k * sigma_j)
 
 
+def _gmu(mu_i, mu_j, sigma_i, sigma_j, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(GMU, gamma): the gate gamma = 1 - exp(-SNR), and GMU = 1 - mu(i) * gamma."""
+    gamma = 1.0 - np.exp(-_snr(mu_i, mu_j, sigma_i, sigma_j, eps))
+    return 1.0 - mu_i * gamma, gamma
+
+
 def decide_multiclass(
     stats: ClassStats, k: float, eps: float = DEFAULT_EPS
 ) -> MulticlassDecisions:
     """Apply the margin rule: predict top-1 iff mu(i) - k sigma(i) > mu(j) + k sigma(j)."""
     check_k(k)
-    i, j, mu_i, mu_j, sigma_i, sigma_j = stats.top2
-    snr = _snr(mu_i - mu_j, sigma_i + sigma_j, eps)
-    decision = np.where(_fires(k, mu_i, mu_j, sigma_i, sigma_j), i, UNCERTAIN)
-    return MulticlassDecisions(top1=i, top2=j, snr=snr, decision=decision)
+    i, j, *columns = stats.top2
+    decision = np.where(_fires(k, *columns), i, UNCERTAIN)
+    return MulticlassDecisions(top1=i, top2=j, snr=_snr(*columns, eps), decision=decision)
 
 
 def gmu_multiclass(
@@ -94,15 +102,17 @@ def gmu_multiclass(
     gate and gmu = 1 - mu(i) * gamma, in [1 - mu(i), 1]. A tie with zero
     spread at eps = 0 has SNR 0, a closed gate and GMU = 1.
     """
-    _, _, mu_i, mu_j, sigma_i, sigma_j = stats.top2
-    gamma = 1.0 - np.exp(-_snr(mu_i - mu_j, sigma_i + sigma_j, eps))
-    return 1.0 - mu_i * gamma, gamma
+    return _gmu(*stats.top2[2:], eps)
 
 
 def _fold(mu_label, sigma_label):
-    """Raw means u, their folded top means max(u, 1 - u) and the spreads, as float64."""
+    """Raw means u, as float64, and each label's four columns against its complement:
+    mu(i) = max(u, 1 - u), mu(j) = 1 - mu(i), and the label's sigma for both spreads."""
     u = np.asarray(mu_label, dtype=np.float64)
-    return u, np.maximum(u, 1.0 - u), np.asarray(sigma_label, dtype=np.float64)
+    mu_i, sigma = np.maximum(u, 1.0 - u), np.asarray(sigma_label, dtype=np.float64)
+    # 1 - mu(i) is exact below 2**53 (every probability), so the SNR's margin is
+    # 2 mu(i) - 1 rounded once; in [2**53, 2**54) it can read one unit lower.
+    return u, (mu_i, 1.0 - mu_i, sigma, sigma)
 
 
 def decide_multilabel(
@@ -118,11 +128,9 @@ def decide_multilabel(
     u < 0.5, UNCERTAIN otherwise.
     """
     check_k(k)
-    u, mu_i, sigma = _fold(mu_label, sigma_label)
-    snr = _snr(2.0 * mu_i - 1.0, 2.0 * sigma, eps)
-    fires = _fires(k, mu_i, 1.0 - mu_i, sigma, sigma)  # the complement: 1 - mu(i), same sigma
-    decision = np.where(fires, np.where(u > 0.5, PRESENT, ABSENT), UNCERTAIN)
-    return snr, decision
+    u, columns = _fold(mu_label, sigma_label)
+    decision = np.where(_fires(k, *columns), np.where(u > 0.5, PRESENT, ABSENT), UNCERTAIN)
+    return _snr(*columns, eps), decision
 
 
 def gmu_multilabel(
@@ -136,6 +144,4 @@ def gmu_multilabel(
     a perfectly ambiguous label (u = 0.5) has a closed gate and GMU = 1,
     matching both one-sided limits.
     """
-    _, mu_i, sigma = _fold(mu_label, sigma_label)
-    gamma = 1.0 - np.exp(-_snr(2.0 * mu_i - 1.0, 2.0 * sigma, eps))
-    return 1.0 - mu_i * gamma
+    return _gmu(*_fold(mu_label, sigma_label)[1], eps)[0]

@@ -74,6 +74,13 @@ class TestReport:
             mantissa = cell.replace("-", "").replace(".", "").lstrip("0").split("e")[0]
             assert len(mantissa) <= 9
 
+    def test_default_k_is_the_one_ood_takes(self, workdir, capsys):
+        # report's --k default is written from cli.DEFAULT_K, the default of ood's --k.
+        argv = ("report", "--input", workdir / "probs.ept")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("sample,tu,au,eu,tu_k1,au_k1,eu_k1,")
+        assert run(capsys, *argv, "--k", repr(cli.DEFAULT_K)) == (code, out, "")
+
     def test_json_format(self, workdir, capsys):
         code, out, _ = run(
             capsys, "report", "--input", workdir / "probs.ept", "--format", "json",
@@ -1000,6 +1007,24 @@ def test_failing_command_leaves_no_output_file(workdir, capsys, argv, message):
 # ---------------------------------------------------------------------------
 # --output is written whole or not at all: a report goes to a new file beside the
 # target, which takes the target's place only once the whole report is written.
+
+
+@pytest.mark.parametrize("output, message", [
+    ("newname/", "[Errno 21] Is a directory: 'newname/'"),
+    ("", "[Errno 2] No such file or directory: ''"),
+    ("newname/.", "[Errno 2] No such file or directory: 'newname/.'"),
+    ("newname/..", "[Errno 2] No such file or directory: 'newname/..'"),
+], ids=["trailing-slash", "empty", "dot", "dot-dot"])
+def test_an_output_that_names_no_file_is_refused(workdir, capsys, monkeypatch, output, message):
+    # Such a path resolves to a directory, or to a file other than the one it names; open
+    # refuses it before anything is written, here and in the parent directory.
+    cwd = workdir / "run"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    before = sorted(os.listdir(workdir))
+    code, out, err = run(capsys, "report", "--input", workdir / "probs.ept", "--output", output)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert os.listdir(cwd) == [] and sorted(os.listdir(workdir)) == before
 
 
 def _fail_in_block(monkeypatch, block, error):

@@ -90,19 +90,31 @@ def test_no_blas_calls(path):
 SORT_NAMES = {"argsort", "sort", "argpartition", "partition", "lexsort"}
 
 
-def _sort_calls(path: Path):
-    """(line, enclosing function, name) of each call named in SORT_NAMES."""
+def _nodes_in_functions(path: Path):
+    """Each AST node of ``path``, with the name of the function that encloses it."""
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif isinstance(node, ast.Call):
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name in SORT_NAMES:
-                yield node.lineno, function, name
+        yield node, function
         for child in ast.iter_child_nodes(node):
             yield from visit(child, function)
 
     yield from visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+
+
+def _called_name(node):
+    """The name a call calls, ``f`` of ``f(...)`` and of ``np.f(...)``; None if not a call."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+    return None
+
+
+def _sort_calls(path: Path):
+    """(line, enclosing function, name) of each call named in SORT_NAMES."""
+    for node, function in _nodes_in_functions(path):
+        name = _called_name(node)
+        if name in SORT_NAMES:
+            yield node.lineno, function, name
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -112,6 +124,17 @@ def test_only_auroc_ranks_sort(path):
     calls = [(line, name) for line, function, name in _sort_calls(path)
              if (path.name, function) != ("diagnostics.py", "_midranks")]
     assert not calls, f"{path.name} sorts at {calls}"
+
+
+def test_margin_formula_is_written_once():
+    # Multiclass and multilabel share one SNR, gate and GMU: margin.py divides only in
+    # _snr and takes exp(-SNR) only in _gmu.
+    sites = sorted(
+        (function, "exp" if _called_name(node) == "exp" else "/")
+        for node, function in _nodes_in_functions(Path(uqgate.__file__).parent / "margin.py")
+        if _called_name(node) in {"exp", "divide", "true_divide"}
+        or isinstance(getattr(node, "op", None), ast.Div))
+    assert sites == [("_gmu", "exp"), ("_snr", "/")]
 
 
 def _names(path: Path):

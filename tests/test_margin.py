@@ -281,23 +281,50 @@ class TestMultilabel:
         np.testing.assert_allclose(mc_gmu, gmu_multilabel(u, sigma), atol=1e-9)
 
 
+# [2**53, 2**54) is the one binade where 1 - mu(i) rounds, so there the shared margin
+# mu(i) - mu(j) may read one unit below the reference's 2 mu(i) - 1.
+_BINADE = (2.0**53, 2.0**54)
+
+
 @st.composite
 def _labels(draw):
-    """Raw label means over [0, 1], with the edges 0, 0.5 and 1 drawn often, and spreads."""
-    means = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
-    spreads = st.one_of(st.sampled_from([0.0, 0.1, 0.5]), st.floats(0.0, 0.5))
+    """Raw label means, any finite float, with 0, 0.5, 1 and the binade's edges drawn often,
+    and spreads, any finite non-negative float, with 0, 0.1, 0.5 and 1 drawn often."""
+    means = st.one_of(st.sampled_from([0.0, 0.5, 1.0, *_BINADE, 2.0**53 + 2, 2.0**54 + 4]),
+                      _TOP2_MEANS)
+    spreads = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+                        st.floats(0.0, allow_nan=False, allow_infinity=False))
     u = draw(hnp.arrays(np.float64, st.integers(1, 8), elements=means))
     return u, draw(hnp.arrays(np.float64, u.shape, elements=spreads))
+
+
+def _same(got, ref, where=True):
+    return (type(got) is type(ref)
+            and np.asarray(got)[where].tobytes() == np.asarray(ref)[where].tobytes())
 
 
 @given(labels=_labels(), k=st.floats(0.01, 10.0), eps=st.sampled_from([1e-8, 0.0, 5e-324, 0.5]))
 @settings(max_examples=300, deadline=None)
 def test_multilabel_matches_the_reference(labels, k, eps):
-    # The shared rule reads the complement as mean 1 - mu(i) with the same spread.
+    # The shared SNR, rule and GMU read the complement as mean 1 - mu(i) with the same
+    # spread. Every bit matches the reference except the SNR and GMU of a folded mean in
+    # _BINADE, which test_multilabel_margin_in_the_rounding_binade pins.
     u, sigma = labels
-    for args in ((u, sigma), (u[0], sigma[0])):  # arrays, and one label as scalars
-        for got, ref in zip(decide_multilabel(*args, k, eps), old_decide_multilabel(*args, k, eps),
-                            strict=True):
-            assert type(got) is type(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
-        got, ref = gmu_multilabel(*args, eps), old_gmu_multilabel(*args, eps)
-        assert type(got) is type(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    folded = np.maximum(u, 1.0 - u)
+    exact = (folded < _BINADE[0]) | (folded >= _BINADE[1])
+    for args, where in (((u, sigma), exact), ((u[0], sigma[0]), exact[0])):  # one as scalars
+        with np.errstate(over="ignore"):  # 2 mu(i), 2 sigma or k sigma beyond float64
+            ref_snr, ref_decision = old_decide_multilabel(*args, k, eps)
+            snr, decision = decide_multilabel(*args, k, eps)
+            ref_gmu, gmu = old_gmu_multilabel(*args, eps), gmu_multilabel(*args, eps)
+        assert _same(decision, ref_decision)
+        assert _same(snr, ref_snr, where) and _same(gmu, ref_gmu, where)
+
+
+@pytest.mark.parametrize("u", [2.0**53 + 2, 2.0**53 + 6, 2.0**54 - 2])
+def test_multilabel_margin_in_the_rounding_binade(u):
+    # u has an odd last mantissa bit, so 1 - u rounds to the even 2 - u and the margin
+    # mu(i) - mu(j) reads 2u - 4, where the reference's 2 mu(i) - 1 reads 2u: the SNR
+    # reads the same complement as the rule.
+    snr, _ = decide_multilabel(u, 0.5, k=1.0, eps=0.0)  # spread 0.5 + 0.5: SNR = margin
+    assert snr == 2 * u - 4 and old_decide_multilabel(u, 0.5, 1.0, 0.0)[0] == 2 * u
