@@ -61,15 +61,12 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers, mall
 _MALLOC_ENVIRONMENT = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
 
 _INT_COLUMNS = ("sample", "decision", "correct", "epoch", "collapse")
+_FLOAT_CELL = "%.9g"
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> json
 
 # report and ood print entries of measures.SCORES; report names a trio's columns by part.
-_TRIO = ("tu", "au", "eu")
+_TRIO = gating.Decomposition._fields
 OOD_MEASURES = tuple(measures.SCORES)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -160,8 +157,9 @@ def _table_text(blocks, fmt):
     names = [name for name, _ in first]
     if fmt == "csv":
         yield ",".join(names) + "\n"
-        # Floats to 9 significant digits; an undecided decision is already text.
-        specs = ["%s" if n == "decision" else "%d" if n in _INT_COLUMNS else "%.9g" for n in names]
+        # An undecided decision is already text.
+        specs = ["%s" if n == "decision" else "%d" if n in _INT_COLUMNS else _FLOAT_CELL
+                 for n in names]
         record, lead, sep = ",".join(specs) + "\n", "", ""
     else:
         yield "["
@@ -234,8 +232,8 @@ def cmd_coverage(args) -> Iterable[str]:
     curve = diagnostics._coverage_curve(blockwise(tensor, lambda e: e.stats.top2), labels, k_grid)
     lines = ["k,coverage,risk\n"]
     for k, cov, risk in zip(curve.k, curve.coverage, curve.risk):
-        risk_cell = "NA" if np.isnan(risk) else _fmt(float(risk))
-        lines.append(f"{_fmt(float(k))},{_fmt(float(cov))},{risk_cell}\n")
+        risk_cell = "NA" if np.isnan(risk) else _FLOAT_CELL % risk
+        lines.append(f"{_FLOAT_CELL % k},{_FLOAT_CELL % cov},{risk_cell}\n")
     return lines
 
 
@@ -326,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     div = sub.add_parser("diversity", help="diversity timeline and collapse epoch")
     div.add_argument("--inputs", nargs="+", required=True, help="EPT files ordered by epoch")
-    div.add_argument("--tau", type=float, default=1e-3, help="collapse threshold")
+    div.add_argument("--tau", type=float, default=diagnostics.DEFAULT_TAU,
+                     help="collapse threshold")
     div.add_argument("--format", choices=("csv", "json"), default="csv")
     div.add_argument("--output")
     div.set_defaults(func=cmd_diversity)
@@ -364,14 +363,16 @@ def _build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--samples", type=int, required=True)
     syn.add_argument("--classes", type=int, required=True)
     syn.add_argument("--members", type=int, required=True)
-    syn.add_argument("--s-signal", dest="s_signal", type=float, default=1.0)
-    syn.add_argument("--s-noise", dest="s_noise", type=float, default=0.5)
-    syn.add_argument("--seed", type=int, default=0)
-    syn.add_argument("--mode", choices=("static", "collapse"), default="static")
-    syn.add_argument("--epochs", type=int, default=1, help="collapse mode only")
-    syn.add_argument("--decay", type=float, default=1.0, help="collapse mode only")
+    syn.add_argument("--s-signal", dest="s_signal", type=float)
+    syn.add_argument("--s-noise", dest="s_noise", type=float)
+    syn.add_argument("--seed", type=int)
+    syn.add_argument("--mode", choices=synth.MODES)
+    syn.add_argument("--epochs", type=int, help="collapse mode only")
+    syn.add_argument("--decay", type=float, help="collapse mode only")
     syn.add_argument("--out", required=True, help="output path prefix")
-    syn.set_defaults(func=cmd_synth)
+    syn.set_defaults(func=cmd_synth, **{f.name: f.default
+                                        for f in dataclasses.fields(synth.SynthConfig)
+                                        if f.default is not dataclasses.MISSING})
 
     return parser
 

@@ -19,6 +19,8 @@ from .gating import check_positive
 from .margin import DEFAULT_EPS, _fires, check_k
 from .stats import ClassStats, blockwise
 
+DEFAULT_TAU = 1e-3
+
 
 class DiversitySeries(NamedTuple):
     """Per-epoch diversity values and the first epoch below tau (if any)."""
@@ -52,7 +54,7 @@ def _summary(tensor: PredictionTensor) -> tuple[tuple[int, int], int | None, flo
 
 
 def collapse_epoch(
-    snapshots: Iterable[PredictionTensor], tau: float = 1e-3
+    snapshots: Iterable[PredictionTensor], tau: float = DEFAULT_TAU
 ) -> DiversitySeries:
     """Diversity per snapshot plus the first epoch with diversity < tau.
 

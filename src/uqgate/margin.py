@@ -10,6 +10,8 @@ two means mu(i) >= mu(j) and their spreads sigma(i), sigma(j):
 Multiclass reads the top-2 classes (ClassStats.top2). Multilabel decides
 each label against its complement (_fold): mu(i) = max(u, 1 - u) folds the
 raw mean u, mu(j) = 1 - mu(i), and both spreads are the label's sigma.
+Means must be finite; every spread must be finite and non-negative
+(check_spreads, for both tasks).
 
 Decisions are integer codes: the predicted class index when the rule fires,
 UNCERTAIN (-1) otherwise; multilabel uses PRESENT / ABSENT / UNCERTAIN.
@@ -63,6 +65,14 @@ def top2(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def check_spreads(*spreads) -> None:
+    """The one spread rule of both tasks: each sigma is finite and non-negative."""
+    for sigma in spreads:
+        bad = ~((sigma >= 0) & (sigma < np.inf))
+        if bad.any():
+            raise ValueError(f"spreads must be finite and non-negative, got {sigma[bad][0]}")
+
+
 def _snr(mu_i, mu_j, sigma_i, sigma_j, eps: float) -> np.ndarray:
     """The one place the SNR is formed: (mu(i) - mu(j)) / (sigma(i) + sigma(j) + eps)."""
     # Zero spread over a subnormal eps overflows to an infinite SNR.
@@ -74,7 +84,8 @@ def _snr(mu_i, mu_j, sigma_i, sigma_j, eps: float) -> np.ndarray:
 
 def _fires(k: float, mu_i, mu_j, sigma_i, sigma_j) -> np.ndarray:
     """The margin rule, per sample: mu(i) - k sigma(i) > mu(j) + k sigma(j)."""
-    return (mu_i - k * sigma_i) > (mu_j + k * sigma_j)
+    with np.errstate(over="ignore"):  # k sigma beyond float64 is +inf: the rule does not fire
+        return (mu_i - k * sigma_i) > (mu_j + k * sigma_j)
 
 
 def _gmu(mu_i, mu_j, sigma_i, sigma_j, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -108,8 +119,11 @@ def gmu_multiclass(
 def _fold(mu_label, sigma_label):
     """Raw means u, as float64, and each label's four columns against its complement:
     mu(i) = max(u, 1 - u), mu(j) = 1 - mu(i), and the label's sigma for both spreads."""
-    u = np.asarray(mu_label, dtype=np.float64)
-    mu_i, sigma = np.maximum(u, 1.0 - u), np.asarray(sigma_label, dtype=np.float64)
+    u, sigma = np.asarray(mu_label, dtype=np.float64), np.asarray(sigma_label, dtype=np.float64)
+    if not np.isfinite(u).all():
+        raise ValueError("multilabel rules require finite means")
+    check_spreads(sigma)
+    mu_i = np.maximum(u, 1.0 - u)
     # 1 - mu(i) is exact below 2**53 (every probability), so the SNR's margin is
     # 2 mu(i) - 1 rounded once; in [2**53, 2**54) it can read one unit lower.
     return u, (mu_i, 1.0 - mu_i, sigma, sigma)

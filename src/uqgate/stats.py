@@ -193,11 +193,13 @@ class ClassStats:
     @cached_property
     def top2(self) -> tuple[np.ndarray, ...]:
         """Per sample: i, j (as :func:`uqgate.margin.top2`), mu(i), mu(j), sigma(i), sigma(j)."""
-        from .margin import top2  # margin imports this module; top2 stays there
+        from .margin import check_spreads, top2  # margin imports this module; they stay there
 
         i, j = top2(self.mu)
         rows = np.arange(self.samples)
-        return i, j, self.mu[rows, i], self.mu[rows, j], self.sigma[rows, i], self.sigma[rows, j]
+        sigma_i, sigma_j = self.sigma[rows, i], self.sigma[rows, j]
+        check_spreads(sigma_i, sigma_j)
+        return i, j, self.mu[rows, i], self.mu[rows, j], sigma_i, sigma_j
 
 
 @dataclass(frozen=True)

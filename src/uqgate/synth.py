@@ -34,6 +34,8 @@ _STREAM_SIGNAL = 1
 _STREAM_NOISE = 2
 _STREAM_LABELS = 3
 
+MODES = ("static", "collapse")
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -61,8 +63,8 @@ class SynthConfig:
             raise ValueError(f"s_noise must be non-negative and finite, got {self.s_noise}")
         if self.seed < 0 or self.seed > 2**64 - 1:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.mode not in ("static", "collapse"):
-            raise ValueError(f"mode must be 'static' or 'collapse', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {self.mode!r}")
         if self.mode == "collapse" and (self.epochs < 1 or not 0 < self.decay < math.inf):
             raise ValueError(
                 f"collapse mode needs epochs >= 1 and a positive finite decay, got "

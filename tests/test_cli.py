@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -20,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqgate import (
-    UNCERTAIN, GateConfig, SynthConfig, calibration, cli, ept, gating, generate,
-    generate_collapse_series, make_tensor, margin, measures, softmax, stats, synth, write_ept_file,
+    UNCERTAIN, GateConfig, SynthConfig, calibration, cli, collapse_epoch, diagnostics, ept, gating,
+    generate, generate_collapse_series, make_tensor, margin, measures, softmax, stats, synth,
+    write_ept_file,
 )
 from uqgate.cli import main
 from uqgate.ept import read_ept_file, write_labels
@@ -189,6 +191,12 @@ class TestDiversity:
         code, out, err = run(capsys, "diversity", "--inputs", tmp_path / "missing.ept",
                              "--tau", "-1")
         assert (code, out, err) == (1, "", "error: tau must be positive, got -1.0\n")
+
+    def test_default_tau_is_the_library_default(self, workdir, capsys):
+        code, out, _ = run(capsys, "diversity", "--inputs", workdir / "probs.ept",
+                           "--format", "json")
+        default = inspect.signature(collapse_epoch).parameters["tau"].default
+        assert code == 0 and json.loads(out)["tau"] == default == diagnostics.DEFAULT_TAU
 
 
 class TestCoverage:
@@ -416,6 +424,13 @@ class TestSynthCommand:
         args = cli._build_parser().parse_args(
             ["synth", "--samples", "1", "--classes", "2", "--members", "1", "--out", "x"])
         assert {field.name for field in dataclasses.fields(SynthConfig)} <= set(vars(args))
+
+    def test_defaults_are_the_config_defaults(self):
+        args = cli._build_parser().parse_args(
+            ["synth", "--samples", "1", "--classes", "2", "--members", "1", "--out", "x"])
+        parsed = SynthConfig(**{field.name: getattr(args, field.name)
+                                for field in dataclasses.fields(SynthConfig)})
+        assert parsed == SynthConfig(samples=1, classes=2, members=1)
 
 
 @pytest.mark.parametrize("epsilon", ["-0.5", "0", "nan"])

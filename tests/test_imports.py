@@ -167,7 +167,8 @@ def test_log_clamp_stays_in_stats(path):
 
 # Each input contract is raised by one function, in the module that owns it.
 CONTRACT_OWNERS = {"labels shape": "ept.py", " requires a ": "ept.py",
-                   "must be positive, got": "gating.py"}
+                   "must be positive, got": "gating.py",
+                   "spreads must be finite and non-negative": "margin.py"}
 
 
 def _raised_text(path: Path):
@@ -186,6 +187,33 @@ def test_each_contract_is_raised_by_its_owner(path):
               for words, owner in CONTRACT_OWNERS.items()
               if words in text and path.name != owner]
     assert not copies, f"{path.name} raises a contract of another module at {copies}"
+
+
+def _literal(node):
+    """The value of a literal expression node (``1e-3``, ``-1``, ``("a", "b")``), else None."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_cli_settings_come_from_their_owners():
+    # SynthConfig owns synth's defaults and modes, diagnostics.DEFAULT_TAU diversity's tau,
+    # and one cli.py constant the CSV number format: a copy could drift from its owner.
+    path = Path(uqgate.__file__).with_name("cli.py")
+    source = path.read_text(encoding="utf-8")
+    copies = []
+    for node, function in _nodes_in_functions(path):
+        if function != "_build_parser" or _called_name(node) != "add_argument":
+            continue
+        option = _literal(node.args[0])
+        for keyword in node.keywords:
+            value = _literal(keyword.value)
+            if ((keyword.arg == "default" and isinstance(value, (int, float)))
+                    or (option == "--mode" and value is not None)):
+                copies.append((option, keyword.arg, value))
+    assert not copies, f"cli._build_parser restates settings it does not own: {copies}"
+    assert source.count(".9g") == 1, "cli.py spells the CSV number format more than once"
 
 
 def test_cli_import_loads_no_scipy():

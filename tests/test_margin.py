@@ -1,5 +1,8 @@
 """SNR rules and GMU: hand-derived values, limit regimes, rule equivalence."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from uqgate import (
     PRESENT,
     UNCERTAIN,
     ClassStats,
+    coverage_risk,
     decide_multiclass,
     decide_multilabel,
     gmu_multiclass,
@@ -328,3 +332,38 @@ def test_multilabel_margin_in_the_rounding_binade(u):
     # reads the same complement as the rule.
     snr, _ = decide_multilabel(u, 0.5, k=1.0, eps=0.0)  # spread 0.5 + 0.5: SNR = margin
     assert snr == 2 * u - 4 and old_decide_multilabel(u, 0.5, 1.0, 0.0)[0] == 2 * u
+
+
+def test_spreads_near_the_float64_limit_leave_the_rule_unfired():
+    # k sigma overflows to +inf, silently as in the SNR, and the rule does not fire.
+    stats = stats_from([[0.7, 0.3]], [[1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, decision = decide_multilabel(0.9, 1e308, k=2.0)
+        decisions = decide_multiclass(stats, k=2.0)
+        curve = coverage_risk(stats, [0], [2.0])
+    assert decision == UNCERTAIN and decisions.decision.tolist() == [UNCERTAIN]
+    assert curve.coverage.tolist() == [0.0] and np.isnan(curve.risk).all()
+
+
+@pytest.mark.parametrize("bad", [-0.3, -5e-324, np.nan, np.inf])
+def test_one_spread_contract_for_both_tasks(bad):
+    # A negative spread would give a negative SNR and still a decision.
+    stats = stats_from([[0.5, 0.45, 0.05]], [[0.1, bad, 0.1]])
+    calls = [lambda: decide_multilabel([0.9, 0.2], [0.1, bad], k=1.0),
+             lambda: gmu_multilabel(0.9, bad),
+             lambda: decide_multiclass(stats, k=1.0),
+             lambda: gmu_multiclass(stats),
+             lambda: coverage_risk(stats, [0], [1.0])]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(
+                f"spreads must be finite and non-negative, got {bad}")):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_multilabel_refuses_non_finite_means(bad):
+    for call in (lambda: decide_multilabel([0.2, bad], 0.1, k=1.0),
+                 lambda: gmu_multilabel(bad, 0.1)):
+        with pytest.raises(ValueError, match="^multilabel rules require finite means$"):
+            call()

@@ -86,7 +86,7 @@ class TestGenerate:
             SynthConfig(**BASE, s_noise=-0.1).validate()
         with pytest.raises(ValueError, match="classes"):
             SynthConfig(samples=1, classes=1, members=1).validate()
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ValueError, match="^mode must be 'static' or 'collapse', got 'drift'$"):
             SynthConfig(**BASE, mode="drift").validate()
         with pytest.raises(ValueError, match="collapse mode"):
             SynthConfig(**BASE, mode="collapse", epochs=0).validate()
