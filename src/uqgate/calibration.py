@@ -107,6 +107,8 @@ class _Nll:
     def __call__(self, temperatures: np.ndarray) -> np.ndarray:
         """Mean NLL per block, or one pooled mean, at (count,) temperatures."""
         t = np.asarray(temperatures, dtype=np.float64).reshape(-1, 1)
+        if self.pooled:  # numpy divides a strided work block faster by a column than by (1, 1)
+            t = np.repeat(t, len(self.label), axis=0)
         samples = self.label.shape[1]
         for start in range(0, samples, WORK_SAMPLES):
             stop = min(start + WORK_SAMPLES, samples)

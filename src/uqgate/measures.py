@@ -3,9 +3,9 @@
 The pairwise measures (EPCE, EPKL, EPJS) average over all M^2 ordered member
 pairs including self-pairs; self terms vanish for KL and JS and reduce to
 member entropies for cross-entropy, which yields the exact identity
-EPKL = EPCE - AU. EPJS still averages over every ordered pair, but computes
-each unordered pair once, on a class-major copy of the block (see
-:func:`pairwise_js`), with every bit as an entropy over (B, C) rows would give.
+EPKL = EPCE - AU. EPJS computes each unordered pair once, member by member
+on a class-major copy of the block, with every bit of the ordered-pair sum
+over (B, C) rows and no array that grows with M^2 (see :func:`pairwise_js`).
 Every log is stats.clamped_log, whose 1e-12 clamp belongs to stats alone, so
 divergences of disjoint one-hot rows stay large but finite (about 27.6 nats).
 
@@ -52,39 +52,39 @@ def pairwise_js(ens: Ensemble) -> np.ndarray:
     """Expected pairwise Jensen-Shannon divergence per sample of one block's view, in nats.
 
     JS(p, q) = H((p + q) / 2) - (H(p) + H(q)) / 2; bounded by ln 2. The mean
-    still covers all M^2 ordered pairs, but each unordered pair's mixture
-    entropy (H_ij = H_ji bit for bit: IEEE addition commutes) is computed
-    once and summed in ordered-pair order. The view is copied classes first,
-    (C, M, B), and one step takes the pairs (i, i + d) at one member offset
-    d: it adds two slices of whole class rows, with no broadcast, and
-    :func:`~uqgate.stats.class_sum_into` adds their class terms in numpy's
-    own order, in place. Self pairs are member entropies, as (p + p) / 2 == p.
-    The budget of :func:`~uqgate.stats.ensemble_blocks` bounds the copy and
-    the (C, M - 1, B) step arrays; the (M, M, B) pair entropies exceed it
-    when M > C.
+    covers all M^2 ordered pairs, with every bit of summing each member i's
+    row of H((p_i + p_j) / 2) in partner order. On a classes-first (C, M, B)
+    copy, step i adds member i to its partners j > i in contiguous
+    (C, M - 1 - i, B) scratch, and :func:`~uqgate.stats.class_sum_into` adds
+    the class terms in numpy's order, in place. So each unordered pair is
+    computed once (IEEE addition commutes); rows collect their terms j < i
+    as steps j make them. numpy adds a one-sample block's row pairwise, so
+    there step i takes all M partners. Self pairs are member entropies, as
+    (p + p) / 2 == p. Beyond the budget of :func:`~uqgate.stats.ensemble_blocks`
+    (the copy and the scratch), it keeps two (M, B) arrays.
     """
     m, b, c = ens.probs.shape
     member_h = ens.member_entropy
     rows = np.ascontiguousarray(ens.probs.transpose(2, 0, 1))  # (C, M, B)
-    mix = np.empty((c, m - 1, b))
-    terms = np.empty((c, m - 1, b))
-    h = np.empty((m, m, b))  # h[i, j] = H((p_i + p_j) / 2)
-    member = np.arange(m)
-    h[member, member] = member_h
-    for d in range(1, m):
-        mx, tx = mix[:, :m - d], terms[:, :m - d]
-        np.add(rows[:, :m - d], rows[:, d:], out=mx)
-        mx *= 0.5
-        clamped_log(mx, out=tx)
-        tx *= mx
-        hx = class_sum_into(tx, out=tx[0])  # tx is scratch here
-        np.negative(hx, out=hx)
-        h[member[:m - d], member[d:]] = hx
-        h[member[d:], member[:m - d]] = hx
+    mix, terms = np.empty(c * m * b), np.empty(c * m * b)
+    head = np.zeros((m, b))  # head[i]: the sum of row i's terms j < i
+    line = np.empty((m, b))
+    lone = b == 1
     mix_h_total = np.zeros(b)
-    # Not .sum(axis=0): in a one-sample block numpy adds the (M, 1) sums pairwise.
-    for per_i in h.sum(axis=1):
-        mix_h_total += per_i
+    for i in range(m):
+        row = line if lone else line[i:]  # row i: all M terms, or head[i] + H(p_i) first
+        new = row if lone else row[1:]
+        if k := len(new):
+            mx, tx = mix[:c * k * b].reshape(c, k, b), terms[:c * k * b].reshape(c, k, b)
+            np.add(rows[:, m - k:], rows[:, i:i + 1], out=mx)
+            mx *= 0.5
+            clamped_log(mx, out=tx)
+            tx *= mx
+            np.negative(class_sum_into(tx, out=new), out=new)
+            head[m - k:] += new
+        if not lone:
+            np.add(head[i], member_h[i], out=row[0])
+        mix_h_total += row.sum(axis=0)
     return mix_h_total / (m * m) - member_h.mean(axis=0)
 
 

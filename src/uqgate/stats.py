@@ -145,8 +145,9 @@ def blockwise(tensor: PredictionTensor, measure: Callable[[Ensemble], object]):
 
     ``measure`` returns one per-sample array, or a sequence of them; the
     result is then one joined array, or a list of joined arrays in order.
-    Peak memory beyond the payload is one block's work, sized by BLOCK_VALUES,
-    plus the per-sample results, held once per block and once joined.
+    Peak memory beyond the payload is one block's work, sized by BLOCK_VALUES
+    whatever M and C are (EPJS's too), plus the per-sample results, held once
+    per block and once joined.
     """
     results = [measure(ens) for _, _, ens in ensemble_blocks(tensor)]
     if isinstance(results[0], np.ndarray):

@@ -1,5 +1,7 @@
 """Entropy decomposition and pairwise divergences against explicit pair loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,8 +283,9 @@ class TestViewMatchesReference:
 @st.composite
 def _js_cases(draw):
     block = draw(st.integers(2, 5))
-    # Up to 20 members, the dense member count: every member offset step from
-    # 1 to 19, and from 8 members on numpy sums a lone sample's terms pairwise.
+    # Up to 20 members, the dense member count: member rows of 1 to 20 terms,
+    # whose steps take 0 to 19 partners; from 8 members on numpy sums a lone
+    # sample's row pairwise (test_many_members reaches its split past 128).
     # From 8 classes on, class_sum_into takes its unrolled path, and above 128 its split.
     classes = draw(st.one_of(st.integers(2, 5), st.sampled_from([8, 9, 10, 100, 129])))
     shape = (draw(st.integers(1, 20)), draw(st.integers(1, 3 * block + 2)), classes)
@@ -328,6 +331,33 @@ class TestBlockedEpjs:
         block = stats.BLOCK_VALUES // (12 * 4)
         tensor = probs_tensor(random_probs(rng, 12, 2 * block + 1, 4))
         _assert_blocked_js_matches(tensor, block)
+
+    @pytest.mark.parametrize("members", [127, 128, 129, 257])
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    @pytest.mark.parametrize("classes", [2, 130])
+    def test_many_members(self, rng, members, samples, classes):
+        # numpy splits a lone sample's row of more than 128 terms, and
+        # class_sum_into more than 128 class rows, at n // 2 rounded down to a
+        # multiple of 8: 127 and 128 members stay below the split, 129 and 257 reach it.
+        data = random_probs(rng, members, samples, classes)
+        data[::3, :1] = np.eye(classes)[rng.integers(0, classes, size=(len(data[::3]), 1))]
+        _assert_blocked_js_matches(probs_tensor(data), 2)
+
+    @pytest.mark.parametrize("samples", [1, 4])
+    def test_memory_does_not_grow_with_members_squared(self, rng, samples):
+        # (M, M, B) pair entropies would hold 8 MB at M = 1000 and N = 1, and
+        # 32 MB at N = 4. The class-major copy, the step scratch and the two
+        # (M, B) row arrays hold 64 KB and 256 KB; at N = 4 numpy's ufunc
+        # buffers for the broadcast add take about 130 KB more.
+        ens = Ensemble(random_probs(rng, 1000, samples, 2))
+        ens.member_entropy  # the view's own, shared with the other measures
+        tracemalloc.start()
+        try:
+            pairwise_js(ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 # ---------------------------------------------------------------------------
