@@ -9,8 +9,8 @@ accuracy is untouched.
 
 A per-member fit searches every member in lockstep: each NLL evaluation
 scores all members at once, while each member keeps its own bracket. A
-global fit pools the members as extra samples without stacking a copy of
-them. Both give bit for bit the temperatures and NLLs of the scalar search,
+global fit is the same evaluation on one row of all members' samples.
+Both give bit for bit the temperatures and NLLs of the scalar search,
 ``nll(apply_temperature(logits, T), labels)`` at each probed T.
 """
 
@@ -30,9 +30,9 @@ T_MAX = 10.0
 GRID_POINTS = 64
 RELATIVE_WIDTH = 1e-4
 
-# Samples per work block of an NLL evaluation. At 20x2000x10, 1024-sample blocks
-# were 20-25% slower than one block of all 2000.
-WORK_SAMPLES = 4096
+# Values (classes x rows x samples) per work block of an NLL evaluation: 4096 samples
+# at 20 members x 10 classes. There, 1024-sample blocks were 20-25% slower.
+WORK_VALUES = 4096 * 20 * 10
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -63,7 +63,7 @@ def nll(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 class _Nll:
-    """NLL(T) of (B, N, C) float64 logit blocks, B temperatures per call.
+    """NLL(T) of (B, N, C) float64 logit blocks, one temperature per row per call.
 
     A call performs the IEEE operations of ``nll(apply_temperature(x, T),
     labels)`` on each block x, in the same order, so each loss is bit-identical
@@ -72,46 +72,46 @@ class _Nll:
     formed, as only each row's sum and label term enter the NLL.
 
     The logits are copied classes first, (C, B, N), once. A call then works
-    through WORK_SAMPLES samples at a time in one (C, B, block) array, whose
-    class rows :func:`~uqgate.stats.class_sum_into` adds in place, in
-    numpy's order for a row of C. Classes first, a class row is one
-    contiguous (B, N) block when N fits one work block: at 20x2000x10 its
-    sum took half the time of the (B, C, N) layout's strided rows.
+    through one (C, rows, width) array of at most WORK_VALUES values at a
+    time, whose class rows :func:`~uqgate.stats.class_sum_into` adds in
+    place, in numpy's order for a row of C. Classes first, a class row is
+    one contiguous block when N fits one work block: at 20x2000x10 its sum
+    took half the time of the (B, C, N) layout's strided rows.
 
-    ``pooled`` applies one temperature to every block and averages over all
-    B * N samples, as over the blocks stacked as extra samples.
+    The rows are the B blocks, or with ``pooled`` one row of their B * N samples.
     """
 
     def __init__(self, logits: np.ndarray, labels: np.ndarray, pooled: bool = False):
-        samples = logits.shape[1]
-        self.rowmax = logits.max(axis=-1)
+        blocks, samples, classes = logits.shape
+        rowmax = logits.max(axis=-1)
         # The search divides by T >= T_MIN, so x / T is finite for every
         # probed T iff it is at T_MIN, the first grid point.
         with np.errstate(over="ignore"):
-            extremes = np.array([logits.min(), self.rowmax.max()]) / T_MIN
+            extremes = np.array([logits.min(), rowmax.max()]) / T_MIN
         if not np.isfinite(extremes).all():
             raise ValueError("softmax requires finite inputs")
-        labels = check_labels(labels, samples, logits.shape[2])
-        # Row-major, so each block's mean sums its samples in the order the
+        labels = check_labels(labels, samples, classes)
+        # Row-major, so each row's mean sums its samples in the order the
         # scalar path does; fancy indexing may lay (B, N) out transposed.
-        self.label = np.ascontiguousarray(logits[:, np.arange(samples), labels])
-        self.columns = np.ascontiguousarray(logits.transpose(2, 0, 1))
+        label = np.ascontiguousarray(logits[:, np.arange(samples), labels])
+        columns = np.ascontiguousarray(logits.transpose(2, 0, 1))
+        rows = 1 if pooled else blocks
+        self.rowmax, self.label = rowmax.reshape(rows, -1), label.reshape(rows, -1)
+        self.columns = columns.reshape(classes, rows, -1)
         self.pooled = pooled
-        self.count = 1 if pooled else logits.shape[0]
+        self.count = len(self.label)
         # Work arrays, made once: the search calls this object about 84 times.
-        width = min(samples, WORK_SAMPLES)
-        self._work = np.empty(self.columns.shape[:2] + (width,))
-        self._maxes, self._picked = (np.empty((logits.shape[0], width)) for _ in range(2))
+        width = min(self.label.shape[1], max(1, WORK_VALUES // (classes * rows)))
+        self._work = np.empty((classes, rows, width))
+        self._maxes, self._picked = (np.empty((rows, width)) for _ in range(2))
         self._losses = np.empty(self.label.shape)
 
     def __call__(self, temperatures: np.ndarray) -> np.ndarray:
-        """Mean NLL per block, or one pooled mean, at (count,) temperatures."""
+        """Mean NLL per row at (count,) temperatures."""
         t = np.asarray(temperatures, dtype=np.float64).reshape(-1, 1)
-        if self.pooled:  # numpy divides a strided work block faster by a column than by (1, 1)
-            t = np.repeat(t, len(self.label), axis=0)
-        samples = self.label.shape[1]
-        for start in range(0, samples, WORK_SAMPLES):
-            stop = min(start + WORK_SAMPLES, samples)
+        samples, step = self.label.shape[1], self._work.shape[-1]
+        for start in range(0, samples, step):
+            stop = min(start + step, samples)
             width = stop - start
             maxes = np.divide(self.rowmax[:, start:stop], t, out=self._maxes[:, :width])
             shifted = np.divide(self.columns[..., start:stop], t, out=self._work[..., :width])
@@ -123,7 +123,7 @@ class _Nll:
             picked /= sums
             clamped_log(picked, out=picked)
             np.negative(picked, out=self._losses[:, start:stop])
-        return self._losses.reshape(self.count, -1).mean(axis=-1)
+        return self._losses.mean(axis=-1)
 
 
 def _golden_sections(objective, lo: list[float], hi: list[float]) -> list[float]:

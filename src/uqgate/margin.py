@@ -11,7 +11,7 @@ Multiclass reads the top-2 classes (ClassStats.top2). Multilabel decides
 each label against its complement (_fold): mu(i) = max(u, 1 - u) folds the
 raw mean u, mu(j) = 1 - mu(i), and both spreads are the label's sigma.
 Means must be finite; every spread must be finite and non-negative
-(check_spreads, for both tasks).
+(check_spreads, for both tasks), and eps non-negative (_snr).
 
 Decisions are integer codes: the predicted class index when the rule fires,
 UNCERTAIN (-1) otherwise; multilabel uses PRESENT / ABSENT / UNCERTAIN.
@@ -75,6 +75,8 @@ def check_spreads(*spreads) -> None:
 
 def _snr(mu_i, mu_j, sigma_i, sigma_j, eps: float) -> np.ndarray:
     """The one place the SNR is formed: (mu(i) - mu(j)) / (sigma(i) + sigma(j) + eps)."""
+    if not eps >= 0:  # NaN too: it would read as SNR 0 and an open GMU of 1
+        raise ValueError(f"eps must be non-negative, got {eps}")
     # Zero spread over a subnormal eps overflows to an infinite SNR.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         snr = (mu_i - mu_j) / (sigma_i + sigma_j + eps)

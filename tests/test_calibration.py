@@ -19,7 +19,7 @@ from uqgate import (
     softmax,
 )
 from uqgate.calibration import (
-    WORK_SAMPLES,
+    WORK_VALUES,
     _Nll,
     _search,
     fit_objective,
@@ -385,6 +385,19 @@ class TestNllWorkArrays:
         # per call before they were made once. What remains is a ufunc buffer at most.
         assert peak < count * logits.shape[1] * 8
 
+    def test_building_allocates_the_copy_and_one_work_block(self):
+        # 2 x 3000 x 1000 logits: the classes-first copy is 48 MB, and the work array
+        # adds at most WORK_VALUES values however many samples a row holds.
+        logits, labels = self.logits_and_labels(samples=3000, classes=1000)
+        tracemalloc.start()
+        try:
+            _Nll(logits, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_sample = logits.shape[0] * logits.shape[1] * 8
+        assert peak < logits.nbytes + WORK_VALUES * 8 + 8 * per_sample
+
 
 # ---------------------------------------------------------------------------
 # _Nll works on a class-major copy, one block of samples at a time: every
@@ -393,20 +406,25 @@ class TestNllWorkArrays:
 
 @st.composite
 def _nll_cases(draw):
-    samples = draw(st.one_of(
-        st.integers(1, 40),
-        st.integers(2 * WORK_SAMPLES - 2, 2 * WORK_SAMPLES + 2),
-        st.sampled_from([WORK_SAMPLES - 1, WORK_SAMPLES, WORK_SAMPLES + 1])))
     classes = draw(st.integers(2, 130))
-    # At most about 3 M logits per case: big blocks take one or two members.
-    members = draw(st.integers(1, max(1, min(4, 3_000_000 // (samples * classes)))))
+    members = draw(st.integers(1, 4))
+    pooled = draw(st.booleans())
+    width = WORK_VALUES // (classes * (1 if pooled else members))
+    # A row holds N samples, or all M * N when pooled: a few, or about one or two work
+    # blocks of them. So a case holds at most about 2 * WORK_VALUES logits.
+    length = draw(st.one_of(
+        st.integers(1, 40),
+        st.integers(2 * width - 2, 2 * width + 2),
+        st.sampled_from([width - 1, width, width + 1])))
+    samples = length
+    if pooled:  # M * N within M - 1 of the length, on either side
+        samples = max(1, (length + draw(st.integers(0, members - 1))) // members)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     logits = draw(st.sampled_from([1e-3, 1.0, 30.0])) * rng.normal(
         size=(members, samples, classes))
     if draw(st.booleans()):  # binary32 logits, as calibrate widens them
         logits = logits.astype(np.float32).astype(np.float64)
     labels = rng.integers(0, classes, size=samples)
-    pooled = draw(st.booleans())
     temperatures = [np.exp(rng.uniform(math.log(0.01), math.log(10.0), 1 if pooled else members))
                     for _ in range(3)]
     return logits, labels, pooled, temperatures
@@ -421,10 +439,15 @@ class TestClassMajorNll:
         for t in temperatures:
             assert loss(t).tobytes() == reference(t).tobytes()
 
-    @pytest.mark.parametrize("samples", [2000, 20000])
-    def test_search_fits_equal_row_major_fits(self, samples):
-        logits, labels = TestNllWorkArrays.logits_and_labels(members=20, samples=samples)
-        for pooled in ((False, True) if samples == 2000 else (False,)):
+    @pytest.mark.parametrize("members,samples,classes", [
+        pytest.param(20, 2000, 10, id="2000"),
+        pytest.param(20, 20000, 10, id="20000"),
+        # Wide classes: more than one work block per member and in the pooled row.
+        pytest.param(2, 1500, 320, id="wide"),
+    ])
+    def test_search_fits_equal_row_major_fits(self, members, samples, classes):
+        logits, labels = TestNllWorkArrays.logits_and_labels(members, samples, classes)
+        for pooled in ((False,) if samples == 20000 else (False, True)):
             got = _search(_Nll(logits, labels, pooled))
             want = _search(RowMajorNll(logits, labels, pooled))
             for a, b in zip(_fields(got), _fields(want)):

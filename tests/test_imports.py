@@ -168,7 +168,8 @@ def test_log_clamp_stays_in_stats(path):
 # Each input contract is raised by one function, in the module that owns it.
 CONTRACT_OWNERS = {"labels shape": "ept.py", " requires a ": "ept.py",
                    "must be positive, got": "gating.py",
-                   "spreads must be finite and non-negative": "margin.py"}
+                   "spreads must be finite and non-negative": "margin.py",
+                   "eps must be non-negative, got": "margin.py"}
 
 
 def _raised_text(path: Path):

@@ -361,6 +361,22 @@ def test_one_spread_contract_for_both_tasks(bad):
             call()
 
 
+@pytest.mark.parametrize("eps", [-1.0, -5e-324, np.nan, -np.inf, 0.0, -0.0])
+def test_one_eps_contract_for_both_tasks(eps):
+    # A negative eps gave negative SNRs and GMU above 1; NaN read as SNR 0 and GMU 1.
+    stats = stats_from([[0.5, 0.45, 0.05]], [[0.1, 0.0, 0.1]])
+    calls = [lambda: decide_multiclass(stats, k=1.0, eps=eps),
+             lambda: gmu_multiclass(stats, eps=eps),
+             lambda: decide_multilabel([0.9, 0.2], [0.1, 0.0], k=1.0, eps=eps),
+             lambda: gmu_multilabel([0.9, 0.2], [0.1, 0.0], eps=eps)]
+    for call in calls:
+        if eps == 0:  # the documented eps = 0 corner stays allowed
+            call()
+            continue
+        with pytest.raises(ValueError, match=re.escape(f"eps must be non-negative, got {eps}")):
+            call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_multilabel_refuses_non_finite_means(bad):
     for call in (lambda: decide_multilabel([0.2, bad], 0.1, k=1.0),
